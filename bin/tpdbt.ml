@@ -15,11 +15,7 @@ let exit_usage = 1
 let exit_invalid = 2
 let exit_regression = 3
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file = Tpdbt_dbt.Durable.read_file
 
 let write_file path contents =
   let oc = open_out path in
@@ -326,7 +322,9 @@ let dbt_cmd =
       match snapshot_file with
       | None -> ()
       | Some f ->
-          write_file f
+          (* Each periodic snapshot replaces the last one atomically: a
+             kill mid-write leaves the previous image, never a torn one. *)
+          Tpdbt_dbt.Durable.write_atomic f
             (Snap.to_string ~config ~program (Engine.capture engine));
           Printf.eprintf "snapshot: %d steps -> %s\n%!" steps f
     in
@@ -569,6 +567,13 @@ let sweep_cmd =
       Printf.eprintf "snapshot: %s\n%!" name
     in
     let report = report_parallel jobs in
+    let store =
+      Option.map
+        (fun dir ->
+          Tpdbt_experiments.Checkpoint.store ~resume_suspended:resume_run
+            ~on_snapshot_saved ~dir ())
+        checkpoint_dir
+    in
     let sweep =
       if supervise then begin
         let policy =
@@ -587,15 +592,9 @@ let sweep_cmd =
               (if s.Sup.degraded then " (pool degraded)" else "")
         in
         let sweep, supervision =
-          match checkpoint_dir with
-          | Some dir ->
-              Tpdbt_experiments.Checkpoint.run_many_supervised ?max_steps
-                ?deadline ~snapshot_every ~suspend_on_deadline
-                ~resume_suspended:resume_run ~on_snapshot_saved ~jobs ~policy
-                ~progress ~report ~dir selected
-          | None ->
-              Runner.run_many_supervised ?max_steps ?deadline ~jobs ~policy
-                ~progress ~report selected
+          Runner.run_many_supervised ?max_steps ?deadline ~snapshot_every
+            ~suspend_on_deadline ?store ~jobs ~policy ~progress ~report
+            selected
         in
         List.iter
           (fun (name, reason) ->
@@ -609,15 +608,10 @@ let sweep_cmd =
         sweep
       end
       else
-        match checkpoint_dir with
-        | Some dir ->
-            Tpdbt_experiments.Checkpoint.run_many_par ?max_steps
-              ?deadline:(if suspend_on_deadline then deadline else None)
-              ~snapshot_every ~suspend_on_deadline
-              ~resume_suspended:resume_run ~on_snapshot_saved ~jobs ~progress
-              ~report ~dir selected
-        | None ->
-            Runner.run_many_par ?max_steps ~jobs ~progress ~report selected
+        Runner.run_many_par ?max_steps
+          ?deadline:(if suspend_on_deadline then deadline else None)
+          ~snapshot_every ~suspend_on_deadline ?store ~jobs ~progress ~report
+          selected
     in
     let suspended, fatal =
       List.partition Runner.suspended_failure sweep.Runner.failures

@@ -24,17 +24,19 @@ let () =
   let program, ref_input, _ = Tpdbt_workloads.Spec.build bench in
   let program = Tpdbt_workloads.Spec.apply_input program ref_input in
   let engine =
-    Engine.create ~config:Engine.profiling_only
+    Engine.create
+      ~config:{ Engine.profiling_only with Engine.snapshot_every = 100_000 }
       ~seed:ref_input.Tpdbt_workloads.Spec.seed program
   in
-  let checkpoints = ref [] in
-  let result =
-    Engine.run ~checkpoint_every:100_000
-      ~on_checkpoint:(fun ~steps snapshot ->
-        checkpoints := (steps, snapshot) :: !checkpoints)
-      engine
+  (* Every 100k instructions the run suspends with the cumulative
+     profile so far; record it as a checkpoint and continue. *)
+  let rec go checkpoints =
+    let result = Engine.run engine in
+    if Engine.suspended result then
+      go ((result.Engine.steps, result.Engine.snapshot) :: checkpoints)
+    else (result, List.rev checkpoints)
   in
-  let series = List.rev !checkpoints in
+  let result, series = go [] in
   Printf.printf "%s: %d guest instructions, %d checkpoints of 100k \
                  instructions\n\n"
     name result.Engine.steps (List.length series);

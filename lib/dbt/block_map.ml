@@ -175,9 +175,6 @@ let block t id =
     invalid_arg (Printf.sprintf "Block_map.block: bad id %d" id)
   else t.blocks.(id)
 
-let block_opt t id =
-  if id < 0 || id >= Array.length t.blocks then None else Some t.blocks.(id)
-
 let blocks t = Array.to_list t.blocks
 
 let block_at t pc =

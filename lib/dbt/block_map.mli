@@ -57,11 +57,7 @@ val block : t -> int -> block
     from this map ([0 <= id < block_count]) — the engine only ever
     passes ids it read back from the map or from arrays sized by
     [block_count], so the exception is unreachable from guest input.
-    Use {!block_opt} when the id comes from anywhere less trusted.
     @raise Invalid_argument on a bad id. *)
-
-val block_opt : t -> int -> block option
-(** Total variant of {!block}: [None] on a bad id. *)
 
 val blocks : t -> block list
 (** In block-id order (i.e. ascending start pc). *)

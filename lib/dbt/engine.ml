@@ -1205,7 +1205,7 @@ let current_snapshot t =
     regions = List.rev t.regions_rev;
   }
 
-let run ?(checkpoint_every = 0) ?(on_checkpoint = fun ~steps:_ _ -> ()) t =
+let run t =
   if t.trace then begin
     emit t (Event.Phase_begin { phase = "run" });
     Span.enter t.spans "engine.run"
@@ -1216,7 +1216,6 @@ let run ?(checkpoint_every = 0) ?(on_checkpoint = fun ~steps:_ _ -> ()) t =
   (match t.error with
   | Some (Error.Suspended _) -> t.error <- None
   | Some _ | None -> ());
-  let next_checkpoint = ref checkpoint_every in
   (* The supervisor's cooperative watchdog: polled per block, like
      every other dispatch-time check — a deadlined task stops itself
      instead of wedging its worker domain.  Hoisted to a plain int so
@@ -1302,15 +1301,6 @@ let run ?(checkpoint_every = 0) ?(on_checkpoint = fun ~steps:_ _ -> ()) t =
                 then exec_region t rid
                 else exec_single t bid
               in
-              if
-                checkpoint_every > 0
-                && Machine.steps t.machine >= !next_checkpoint
-              then begin
-                on_checkpoint
-                  ~steps:(Machine.steps t.machine)
-                  (current_snapshot t);
-                next_checkpoint := Machine.steps t.machine + checkpoint_every
-              end;
               if outcome = oc_trapped then
                 match Machine.last_trap t.machine with
                 | Some trap -> t.error <- Some (Error.Trap trap)

@@ -190,17 +190,14 @@ val create :
   ?config:config -> ?mem_words:int -> seed:int64 -> Tpdbt_isa.Program.t -> t
 (** [config] defaults to [config ~threshold:1000 ()]. *)
 
-val run :
-  ?checkpoint_every:int ->
-  ?on_checkpoint:(steps:int -> Snapshot.t -> unit) ->
-  t ->
-  result
-(** Run to halt, trap or step budget, then snapshot.
+val run : t -> result
+(** Run to halt, trap, step budget or suspension, then snapshot.
 
-    If [checkpoint_every] is given (in guest instructions),
-    [on_checkpoint] is called at block boundaries roughly that often
-    with the number of instructions executed and a copy of the current
-    cumulative profile — the raw material for phase analysis
+    The one periodic hook is [config.snapshot_every]: the run returns
+    {!suspended} roughly every that many guest instructions, at a block
+    boundary, and re-entering [run] continues exactly where it
+    stopped.  Each suspended result's [snapshot] is the cumulative
+    profile so far — the raw material for phase analysis
     ([Tpdbt_profiles.Phases]). *)
 
 val block_map : t -> Block_map.t

@@ -225,12 +225,6 @@ let render_chaos ppf c =
   Format.fprintf ppf "verdict: %s@]"
     (if chaos_ok c then "survived" else "FAILED")
 
-let chaos_read_file file =
-  let ic = open_in_bin file in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let chaos_write_file file s =
   let oc = open_out_bin file in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s)
@@ -278,7 +272,7 @@ let chaos ?(jobs = 1) ?benches ?thresholds ?max_steps ?progress ~dir ~seed ()
   in
   (* Reference: the fault-free sequential sweep the survivors must
      match byte for byte. *)
-  let reference = Runner.run_many ?thresholds ?max_steps benches in
+  let reference = Runner.run_many_par ?thresholds ?max_steps ~jobs:1 benches in
   if reference.Runner.failures <> [] then
     invalid_arg "Campaign.chaos: a benchmark fails even without faults";
   let reference_text =
@@ -319,12 +313,12 @@ let chaos ?(jobs = 1) ?benches ?thresholds ?max_steps ?progress ~dir ~seed ()
   (* Pass 1: tasks panic and workers crash on their first attempt, the
      stall victim never fits its deadline, and the checkpoint victims'
      files are damaged right after they are written. *)
-  let ckpt_save, ckpt_load = Checkpoint.hooks ?thresholds ~dir () in
+  let store = Checkpoint.store ?thresholds ~dir () in
   let save_and_damage (d : Runner.data) =
-    ckpt_save d;
+    store.Runner.save d;
     let file = Checkpoint.path ~dir d.Runner.bench in
     let damage f =
-      let text = chaos_read_file file in
+      let text = Tpdbt_dbt.Durable.read_file file in
       let len = String.length text in
       f text len
     in
@@ -352,13 +346,14 @@ let chaos ?(jobs = 1) ?benches ?thresholds ?max_steps ?progress ~dir ~seed ()
            supervisor neither retries nor poisons it. *)
         Runner.run_benchmark_result ?thresholds ?max_steps
           ~deadline:(kill_deadline bench.Spec.name) ~suspend_on_deadline:true
-          ~on_snapshot:(fun p -> Checkpoint.save_suspended ~dir p)
+          ~on_snapshot:store.Runner.on_snapshot
           bench
     | _ -> Runner.run_benchmark_result ?thresholds ?max_steps bench
   in
   let _sweep1, sup1 =
     Runner.run_many_supervised ?thresholds ?max_steps ~jobs ?progress
-      ~save:save_and_damage ~load:ckpt_load ~run_task:run_task_pass1 benches
+      ~store:{ store with Runner.save = save_and_damage }
+      ~run_task:run_task_pass1 benches
   in
   (* Pass 2: resume from the (partly damaged) store.  Only the stall is
      a persistent fault; panicking and crashing tasks already recovered
@@ -368,7 +363,7 @@ let chaos ?(jobs = 1) ?benches ?thresholds ?max_steps ?progress ~dir ~seed ()
   let resumed_from_snapshot =
     List.filter_map
       (fun (b : Spec.t) ->
-        if Option.is_some (Checkpoint.load_suspended ?thresholds ~dir b) then
+        if Option.is_some (store.Runner.load_suspended b) then
           Some b.Spec.name
         else None)
       benches
@@ -378,12 +373,11 @@ let chaos ?(jobs = 1) ?benches ?thresholds ?max_steps ?progress ~dir ~seed ()
     | Some Stall -> stall_run bench
     | _ ->
         Runner.run_benchmark_result ?thresholds ?max_steps
-          ?resume:(Checkpoint.load_suspended ?thresholds ~dir bench)
-          bench
+          ?resume:(store.Runner.load_suspended bench) bench
   in
   let sweep2, sup2 =
-    Checkpoint.run_many_supervised ?thresholds ?max_steps ~jobs ?progress
-      ~run_task:run_task_pass2 ~dir benches
+    Runner.run_many_supervised ?thresholds ?max_steps ~jobs ?progress ~store
+      ~run_task:run_task_pass2 benches
   in
   let poisoned_benches =
     List.map

@@ -152,8 +152,6 @@ val chaos_ok : chaos -> bool
     byte-identical to the fault-free reference), and the crash and
     panic victims actually exercised recovery. *)
 
-val chaos_fault_name : chaos_fault -> string
-
 val chaos_to_json : chaos -> string
 (** Deterministic summary (scheduling-dependent fields excluded) — the
     artifact [make chaos-smoke] compares across job counts. *)

@@ -3,6 +3,7 @@ module Perf_model = Tpdbt_dbt.Perf_model
 module Spec = Tpdbt_workloads.Spec
 module Suite = Tpdbt_workloads.Suite
 module Profile_io = Tpdbt_profiles.Profile_io
+module Durable = Tpdbt_dbt.Durable
 
 (* Version 4 lets the store hold mid-run state: a file is either a
    finished benchmark (the v3 payload behind a "kind finished" line)
@@ -16,7 +17,6 @@ module Profile_io = Tpdbt_profiles.Profile_io
    widened the counters line with the code-cache and shadow-oracle
    fields. *)
 let magic = "TPDBT-CKPT 4"
-let magic_prefix = "TPDBT-CKPT "
 
 type stored = Finished of Runner.data | Suspended of Runner.partial
 
@@ -26,51 +26,7 @@ type classified =
   | Stale_version of string
   | Corrupt of string
 
-(* ---- CRC32 ------------------------------------------------------------- *)
-
-(* Table-driven CRC32 (IEEE 802.3, reflected — the zlib/PNG polynomial),
-   local so the store stays dependency-free. *)
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor (Int32.shift_right_logical !c 1) 0xEDB88320l
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
-
-let crc32 s =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFFl in
-  String.iter
-    (fun ch ->
-      let idx =
-        Int32.to_int
-          (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xFFl)
-      in
-      c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8))
-    s;
-  Int32.logxor !c 0xFFFFFFFFl
-
-let crc_hex s = Printf.sprintf "%08lx" (crc32 s)
-
 (* ---- serialisation ----------------------------------------------------- *)
-
-let counters_to_line (c : Perf_model.counters) =
-  (* %h round-trips the float exactly; every other field is an int. *)
-  Printf.sprintf
-    "counters %h %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d \
-     %d"
-    c.Perf_model.cycles c.blocks_translated c.regions_formed c.region_entries
-    c.region_completions c.loop_backs c.side_exits c.optimization_rounds
-    c.regions_dissolved c.faults_injected c.retrans_retries c.fault_dissolves
-    c.blocks_retranslated c.cache_evictions c.cache_flushes
-    c.cache_evicted_instrs c.cache_peak_instrs c.shadow_replays
-    c.shadow_divergences c.corrupted_entries c.regions_quarantined
-    c.watchdog_degraded
 
 let result_to_buf buf (r : Engine.result) =
   let add fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
@@ -79,7 +35,7 @@ let result_to_buf buf (r : Engine.result) =
   add "outputs %d%s" (List.length r.Engine.outputs)
     (String.concat ""
        (List.map (fun v -> " " ^ string_of_int v) r.Engine.outputs));
-  Buffer.add_string buf (counters_to_line r.Engine.counters ^ "\n");
+  add "%s" (Perf_model.counters_to_line r.Engine.counters);
   add "regstats %d" (List.length r.Engine.region_stats);
   List.iter
     (fun (id, (s : Engine.region_stats)) ->
@@ -144,36 +100,22 @@ let payload_of_partial (p : Runner.partial) =
   add "end";
   Buffer.contents buf
 
-let seal payload =
-  Printf.sprintf "%s\ncrc %s %d\n%s" magic (crc_hex payload)
-    (String.length payload) payload
+let data_to_string (d : Runner.data) = Durable.seal ~magic (payload_of_data d)
 
-let data_to_string (d : Runner.data) = seal (payload_of_data d)
-let partial_to_string (p : Runner.partial) = seal (payload_of_partial p)
+let partial_to_string (p : Runner.partial) =
+  Durable.seal ~magic (payload_of_partial p)
 
 (* ---- parsing ----------------------------------------------------------- *)
 
-exception Malformed of string
+exception Malformed = Durable.Malformed
 
 let parse_payload ?expect_thresholds spec text =
-  let lines = Array.of_list (String.split_on_char '\n' text) in
-  let cursor = ref 0 in
-  let next () =
-    if !cursor >= Array.length lines then
-      raise (Malformed "payload ends mid-record")
-    else (
-      incr cursor;
-      lines.(!cursor - 1))
-  in
+  let r = Durable.reader text in
+  let next () = Durable.next r and words () = Durable.words r in
+  let int_exn = Durable.int_exn in
   let expect s =
     if next () <> s then raise (Malformed (Printf.sprintf "expected %S" s))
   in
-  let int_exn s =
-    match int_of_string_opt s with
-    | Some v -> v
-    | None -> raise (Malformed (Printf.sprintf "not an integer: %S" s))
-  in
-  let words () = String.split_on_char ' ' (next ()) in
   let read_result () =
     let steps =
       match words () with
@@ -191,41 +133,7 @@ let parse_payload ?expect_thresholds spec text =
           List.map int_exn vs
       | _ -> raise (Malformed "bad outputs line")
     in
-    let counters =
-      match words () with
-      | [
-          "counters"; cy; a; b; c; d; e; f; g; h; i; j; k; l; m; n; o; p; q;
-          r; s; u; v;
-        ] -> (
-          match float_of_string_opt cy with
-          | None -> raise (Malformed "bad cycles value")
-          | Some cycles ->
-              {
-                Perf_model.cycles;
-                blocks_translated = int_exn a;
-                regions_formed = int_exn b;
-                region_entries = int_exn c;
-                region_completions = int_exn d;
-                loop_backs = int_exn e;
-                side_exits = int_exn f;
-                optimization_rounds = int_exn g;
-                regions_dissolved = int_exn h;
-                faults_injected = int_exn i;
-                retrans_retries = int_exn j;
-                fault_dissolves = int_exn k;
-                blocks_retranslated = int_exn l;
-                cache_evictions = int_exn m;
-                cache_flushes = int_exn n;
-                cache_evicted_instrs = int_exn o;
-                cache_peak_instrs = int_exn p;
-                shadow_replays = int_exn q;
-                shadow_divergences = int_exn r;
-                corrupted_entries = int_exn s;
-                regions_quarantined = int_exn u;
-                watchdog_degraded = int_exn v;
-              })
-      | _ -> raise (Malformed "bad counters line")
-    in
+    let counters = Perf_model.counters_of_line (next ()) in
     let nstats =
       match words () with
       | [ "regstats"; n ] -> int_exn n
@@ -249,14 +157,8 @@ let parse_payload ?expect_thresholds spec text =
       | [ "snapshot"; n ] -> int_exn n
       | _ -> raise (Malformed "bad snapshot line")
     in
-    if nlines < 0 then raise (Malformed "negative snapshot length");
-    let snap_buf = Buffer.create 4096 in
-    for _ = 1 to nlines do
-      Buffer.add_string snap_buf (next ());
-      Buffer.add_char snap_buf '\n'
-    done;
     let snapshot =
-      match Profile_io.of_string (Buffer.contents snap_buf) with
+      match Profile_io.of_string (Durable.embedded r ~what:"snapshot" nlines) with
       | Ok s -> s
       | Error _ -> raise (Malformed "embedded profile rejected")
     in
@@ -270,14 +172,6 @@ let parse_payload ?expect_thresholds spec text =
       error = None;
       faults = None;
     }
-  in
-  let finish_checks () =
-    expect "end";
-    (* the payload always ends "end\n", so the final split element is
-       one empty string; anything more is garbage a broken writer
-       appended inside the measured payload *)
-    if not (!cursor = Array.length lines - 1 && lines.(!cursor) = "") then
-      raise (Malformed "trailing garbage after end marker")
   in
   try
     (match words () with
@@ -323,7 +217,7 @@ let parse_payload ?expect_thresholds spec text =
               (label, scaled, read_result ()))
             labels
         in
-        finish_checks ();
+        Durable.finish r;
         Valid (Finished (Runner.assemble spec avep train raw_runs))
     | "suspended" ->
         let stage_of = function
@@ -358,13 +252,7 @@ let parse_payload ?expect_thresholds spec text =
           | [ "exec"; n ] -> int_exn n
           | _ -> raise (Malformed "bad exec line")
         in
-        if nlines < 0 then raise (Malformed "negative exec length");
-        let exec_buf = Buffer.create 4096 in
-        for _ = 1 to nlines do
-          Buffer.add_string exec_buf (next ());
-          Buffer.add_char exec_buf '\n'
-        done;
-        let p_snapshot = Buffer.contents exec_buf in
+        let p_snapshot = Durable.embedded r ~what:"exec" nlines in
         (* The embedded engine snapshot carries its own magic and CRC —
            validate it now so a damaged one classifies the whole store
            entry as corrupt instead of failing at resume time. *)
@@ -374,7 +262,7 @@ let parse_payload ?expect_thresholds spec text =
             raise (Malformed ("embedded snapshot is stale: " ^ line))
         | Tpdbt_dbt.Exec_snapshot.Corrupt reason ->
             raise (Malformed ("embedded snapshot rejected: " ^ reason)));
-        finish_checks ();
+        Durable.finish r;
         Valid
           (Suspended
              {
@@ -387,106 +275,32 @@ let parse_payload ?expect_thresholds spec text =
     | k -> raise (Malformed (Printf.sprintf "unknown kind %S" k))
   with Malformed reason -> Corrupt reason
 
-let split_line s pos =
-  match String.index_from_opt s pos '\n' with
-  | None -> None
-  | Some i -> Some (String.sub s pos (i - pos), i + 1)
-
 let data_of_string ?thresholds spec text =
-  if String.trim text = "" then Corrupt "empty file"
-  else
-    match split_line text 0 with
-    | None -> Corrupt "missing newline after magic"
-    | Some (line1, p1) -> (
-        if String.equal line1 magic then
-          match split_line text p1 with
-          | None -> Corrupt "missing crc header"
-          | Some (line2, p2) -> (
-              match String.split_on_char ' ' line2 with
-              | [ "crc"; hex; len ] -> (
-                  match int_of_string_opt len with
-                  | None -> Corrupt "malformed crc header"
-                  | Some len when len < 0 -> Corrupt "malformed crc header"
-                  | Some len ->
-                      let avail = String.length text - p2 in
-                      if avail < len then
-                        Corrupt
-                          (Printf.sprintf "truncated: %d of %d payload bytes"
-                             avail len)
-                      else if avail > len then
-                        Corrupt
-                          (Printf.sprintf
-                             "trailing garbage: %d bytes past the payload"
-                             (avail - len))
-                      else
-                        let payload = String.sub text p2 len in
-                        let actual = crc_hex payload in
-                        if not (String.equal actual hex) then
-                          Corrupt
-                            (Printf.sprintf "crc mismatch: header %s, payload %s"
-                               hex actual)
-                        else parse_payload ?expect_thresholds:thresholds spec payload
-                  )
-              | _ -> Corrupt "malformed crc header")
-        else if
-          String.length line1 >= String.length magic_prefix
-          && String.equal (String.sub line1 0 (String.length magic_prefix))
-               magic_prefix
-        then Stale_version line1
-        else Corrupt "unrecognised header")
+  match Durable.unseal ~magic text with
+  | Durable.Payload payload ->
+      parse_payload ?expect_thresholds:thresholds spec payload
+  | Durable.Stale_version line -> Stale_version line
+  | Durable.Corrupt reason -> Corrupt reason
 
 (* ---- files ------------------------------------------------------------- *)
 
 let path ~dir spec = Filename.concat dir (spec.Spec.name ^ ".ckpt")
 
-let write_atomic ~dir final text =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let tmp = final ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc text;
-      (* Crash consistency: the payload must be durable before the
-         rename publishes it, or a power cut can leave a complete-
-         looking file full of zeroes. *)
-      flush oc;
-      Unix.fsync (Unix.descr_of_out_channel oc));
-  Sys.rename tmp final;
-  (* The rename itself lives in the directory: without fsyncing it, a
-     power cut can forget the new name (or resurrect the old file)
-     even though the data blocks are safe.  Directories cannot be
-     opened for writing; O_RDONLY is the documented way to fsync one.
-     Filesystems that refuse (EINVAL and friends) get the rename's
-     usual eventual durability — no worse than before. *)
-  (match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ -> ()
-  | dfd ->
-      Fun.protect
-        ~finally:(fun () -> try Unix.close dfd with Unix.Unix_error _ -> ())
-        (fun () -> try Unix.fsync dfd with Unix.Unix_error _ -> ()))
-
 let save ~dir (d : Runner.data) =
-  write_atomic ~dir (path ~dir d.Runner.bench) (data_to_string d)
+  Durable.write_atomic (path ~dir d.Runner.bench) (data_to_string d)
 
 (* A mid-run snapshot lives in the same per-benchmark slot the
    finished result will occupy: the file monotonically progresses
    suspended -> ... -> suspended -> finished, and a crash at any point
    leaves the previous (complete, CRC-guarded) state. *)
 let save_suspended ~dir (p : Runner.partial) =
-  write_atomic ~dir (path ~dir p.Runner.p_bench) (partial_to_string p)
-
-let read_file file =
-  let ic = open_in_bin file in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+  Durable.write_atomic (path ~dir p.Runner.p_bench) (partial_to_string p)
 
 let classify ?(thresholds = Suite.thresholds) ~dir spec =
   let file = path ~dir spec in
   if not (Sys.file_exists file) then Missing
   else
-    match read_file file with
+    match Durable.read_file file with
     | text -> data_of_string ~thresholds spec text
     | exception Sys_error reason -> Corrupt reason
 
@@ -500,89 +314,27 @@ let load_suspended ?thresholds ~dir spec =
   | Valid (Suspended p) -> Some p
   | _ -> None
 
-let hooks ?thresholds ?(on_bad = fun _ _ -> ()) ~dir () =
-  ( (fun d -> save ~dir d),
-    fun spec ->
-      match classify ?thresholds ~dir spec with
-      | Valid (Finished d) -> Some d
-      | Valid (Suspended _) ->
-          (* healthy mid-run state, not a finished result: the
-             suspended-resume path owns it *)
-          None
-      | Missing -> None
-      | Stale_version line ->
-          on_bad spec ("stale checkpoint version: " ^ line);
-          None
-      | Corrupt reason ->
-          on_bad spec reason;
-          None )
-
-(* Wire the suspend/resume plumbing for one sweep call: where mid-run
-   snapshots land ([on_snapshot]) and where resumable state comes from
-   ([load_suspended], gated on [resume]). *)
-let snapshot_hooks ?thresholds ?on_snapshot_saved ~resume ~dir () =
-  let on_snapshot (p : Runner.partial) =
-    save_suspended ~dir p;
-    match on_snapshot_saved with
-    | Some f -> f p.Runner.p_bench.Spec.name
-    | None -> ()
-  in
-  let load_suspended spec =
-    if resume then load_suspended ?thresholds ~dir spec else None
-  in
-  (on_snapshot, load_suspended)
-
-let run_many ?thresholds ?max_steps ?deadline ?snapshot_every
-    ?suspend_on_deadline ?(resume_suspended = true) ?on_snapshot_saved
-    ?progress ~dir benches =
-  let save, load = hooks ?thresholds ~dir () in
-  let on_snapshot, load_suspended =
-    snapshot_hooks ?thresholds ?on_snapshot_saved ~resume:resume_suspended
-      ~dir ()
-  in
-  Runner.run_many ?thresholds ?max_steps ?deadline ?snapshot_every
-    ?suspend_on_deadline ~on_snapshot ~load_suspended ?progress ~save ~load
-    benches
-
-let run_many_par ?thresholds ?max_steps ?deadline ?snapshot_every
-    ?suspend_on_deadline ?(resume_suspended = true) ?on_snapshot_saved ?jobs
-    ?progress ?sink ?metrics ?report ~dir benches =
-  let save, load = hooks ?thresholds ~dir () in
-  let on_snapshot, load_suspended =
-    snapshot_hooks ?thresholds ?on_snapshot_saved ~resume:resume_suspended
-      ~dir ()
-  in
-  Runner.run_many_par ?thresholds ?max_steps ?deadline ?snapshot_every
-    ?suspend_on_deadline ~on_snapshot ~load_suspended ?jobs ?progress ?sink
-    ?metrics ?report ~save ~load benches
-
-let run_many_supervised ?thresholds ?max_steps ?deadline ?snapshot_every
-    ?suspend_on_deadline ?(resume_suspended = true) ?on_snapshot_saved ?jobs
-    ?policy ?progress ?sink ?metrics ?report ?run_task ~dir benches =
-  let module Tel = Tpdbt_telemetry in
-  let corrupt = ref [] in
-  let seq = ref 0 in
-  let on_bad (spec : Spec.t) reason =
-    corrupt := (spec.Spec.name, reason) :: !corrupt;
-    incr seq;
-    Option.iter
-      (fun s ->
-        s.Tel.Sink.emit ~step:!seq
-          (Tel.Event.Checkpoint_corrupt { bench = spec.Spec.name; reason }))
-      sink;
-    Option.iter
-      (fun m ->
-        Tel.Metrics.incr (Tel.Metrics.counter m "checkpoint.corrupt"))
-      metrics
-  in
-  let save, load = hooks ?thresholds ~on_bad ~dir () in
-  let on_snapshot, load_suspended =
-    snapshot_hooks ?thresholds ?on_snapshot_saved ~resume:resume_suspended
-      ~dir ()
-  in
-  let sweep, supervision =
-    Runner.run_many_supervised ?thresholds ?max_steps ?deadline
-      ?snapshot_every ?suspend_on_deadline ~on_snapshot ~load_suspended ?jobs
-      ?policy ?progress ?sink ?metrics ?report ?run_task ~save ~load benches
-  in
-  (sweep, { supervision with Runner.corrupt = List.rev !corrupt })
+(* Everything a sweep needs from the store, for [Runner.run_many_par]
+   and [Runner.run_many_supervised]: finished results to reuse (a
+   suspended entry is healthy mid-run state, not a finished result —
+   the suspended-resume path owns it), where mid-run snapshots land and
+   where resumable state comes from (gated on [resume_suspended]). *)
+let store ?thresholds ?(resume_suspended = true) ?on_snapshot_saved ~dir () =
+  {
+    Runner.load =
+      (fun spec ->
+        match classify ?thresholds ~dir spec with
+        | Valid (Finished d) -> Ok (Some d)
+        | Valid (Suspended _) | Missing -> Ok None
+        | Stale_version line -> Error ("stale checkpoint version: " ^ line)
+        | Corrupt reason -> Error reason);
+    save = save ~dir;
+    load_suspended =
+      (fun spec ->
+        if resume_suspended then load_suspended ?thresholds ~dir spec
+        else None);
+    on_snapshot =
+      (fun p ->
+        save_suspended ~dir p;
+        Option.iter (fun f -> f p.Runner.p_bench.Spec.name) on_snapshot_saved);
+  }

@@ -1,6 +1,6 @@
 (** One table generator per figure of the paper's evaluation (§4).
 
-    Every function takes the sweep results of {!Runner.run_many} over
+    Every function takes the sweep results of {!Runner.run_many_par} over
     the full suite (subsets work too: averages are over the benchmarks
     present) and returns the table whose rows/series correspond to the
     figure. *)

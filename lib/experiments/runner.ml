@@ -222,18 +222,6 @@ let run_traced ?limit ?(extra_sinks = []) bench ~config =
   Tpdbt_dbt.Perf_model.record result.Engine.counters metrics;
   (result, buffer, metrics)
 
-let run_custom ?sink bench ~config =
-  let avep = run_avep bench in
-  let result = run_ref ?sink bench ~config in
-  (match result.Engine.error with
-  | None -> ()
-  | Some e -> raise (Error.Error e));
-  let comparison =
-    Metrics.compare_snapshots ~inip:result.Engine.snapshot
-      ~avep:avep.Engine.snapshot
-  in
-  (result, avep, comparison)
-
 (* ---- cache-size sweep (Fig. 17-style, cycles vs cache budget) -------- *)
 
 type cache_point = {
@@ -313,29 +301,72 @@ let status_name = function
 let suspended_failure (f : failure) =
   match f.error with Error.Suspended _ -> true | _ -> false
 
-(* Sequential reference path.  [run_many_par] must produce the same
-   merged sweep (and, via [save], the same checkpoint bytes) for every
-   job count — keep the two in lockstep. *)
-let run_many ?thresholds ?max_steps ?deadline ?snapshot_every
-    ?suspend_on_deadline ?on_snapshot ?load_suspended
-    ?(progress = fun _ _ -> ()) ?save ?load benches =
+(* Where a sweep keeps its results: finished benchmarks to reuse and
+   save, mid-run state to resume and snapshot into.  [Checkpoint.store]
+   builds the on-disk one. *)
+type store = {
+  load : Spec.t -> (data option, string) result;
+  save : data -> unit;
+  load_suspended : Spec.t -> partial option;
+  on_snapshot : partial -> unit;
+}
+
+(* The resume lookup each sweep makes before running a benchmark.  A
+   damaged store entry is re-run; it is also reported to [on_corrupt],
+   as a [checkpoint.corrupt] event on [sink] and in the
+   [checkpoint.corrupt] metric. *)
+let lookup ?store ?sink ?metrics ?(on_corrupt = fun _ _ -> ()) () =
+  let module Tel = Tpdbt_telemetry in
+  let seq = ref 0 in
+  fun (bench : Spec.t) ->
+    match store with
+    | None -> None
+    | Some s -> (
+        match s.load bench with
+        | Ok found -> found
+        | Error reason ->
+            on_corrupt bench reason;
+            incr seq;
+            Option.iter
+              (fun sk ->
+                sk.Tel.Sink.emit ~step:!seq
+                  (Tel.Event.Checkpoint_corrupt
+                     { bench = bench.Spec.name; reason }))
+              sink;
+            Option.iter
+              (fun m ->
+                Tel.Metrics.incr (Tel.Metrics.counter m "checkpoint.corrupt"))
+              metrics;
+            None)
+
+let on_snapshot store = Option.map (fun s -> s.on_snapshot) store
+let load_suspended store bench =
+  Option.bind store (fun s -> s.load_suspended bench)
+let save store d = Option.iter (fun s -> s.save d) store
+
+(* Sequential reference path: the [jobs <= 1] case of [run_many_par],
+   which must produce the same merged sweep (and, via [save], the same
+   checkpoint bytes) for every job count. *)
+let run_sequential ?thresholds ?max_steps ?deadline ?snapshot_every
+    ?suspend_on_deadline ?store ~progress ~lookup benches =
   let data = ref [] and failures = ref [] in
   List.iter
     (fun bench ->
       let name = bench.Spec.name in
-      match Option.bind load (fun f -> f bench) with
+      match lookup bench with
       | Some d ->
           progress name Resumed;
           data := d :: !data
       | None -> (
           progress name Started;
-          let resume = Option.bind load_suspended (fun f -> f bench) in
           match
             run_benchmark_result ?thresholds ?max_steps ?deadline
-              ?snapshot_every ?suspend_on_deadline ?on_snapshot ?resume bench
+              ?snapshot_every ?suspend_on_deadline
+              ?on_snapshot:(on_snapshot store)
+              ?resume:(load_suspended store bench) bench
           with
           | Ok d ->
-              Option.iter (fun f -> f d) save;
+              save store d;
               progress name Finished;
               data := d :: !data
           | Error e ->
@@ -343,6 +374,47 @@ let run_many ?thresholds ?max_steps ?deadline ?snapshot_every
                 (match e with Error.Suspended _ -> Suspended | _ -> Failed e);
               failures := { failed = bench; error = e } :: !failures))
     benches;
+  { data = List.rev !data; failures = List.rev !failures }
+
+(* Resume scan up front, on the collector domain: store reads never race
+   the workers, and a resumed benchmark never becomes a task at all.
+   Returns every benchmark with its resumed data (if any) and the
+   pending ones, in input order. *)
+let scan ~progress ~lookup benches =
+  let entries =
+    List.map
+      (fun bench ->
+        match lookup bench with
+        | Some d ->
+            progress bench.Spec.name Resumed;
+            (bench, Some d)
+        | None -> (bench, None))
+      benches
+  in
+  let pending =
+    List.filter_map
+      (fun (b, d) -> if Option.is_none d then Some b else None)
+      entries
+  in
+  (entries, Array.of_list pending)
+
+(* Deterministic merge: walk the benchmarks in input order, pulling
+   resumed data or the outcome of the next pending task — the same
+   [sweep] the sequential path builds. *)
+let merge entries ~outcome =
+  let next = ref 0 in
+  let data = ref [] and failures = ref [] in
+  List.iter
+    (fun (bench, resumed) ->
+      match resumed with
+      | Some d -> data := d :: !data
+      | None -> (
+          let task = !next in
+          incr next;
+          match outcome task bench with
+          | Ok d -> data := d :: !data
+          | Error e -> failures := { failed = bench; error = e } :: !failures))
+    entries;
   { data = List.rev !data; failures = List.rev !failures }
 
 module Pool = Tpdbt_parallel.Pool
@@ -399,39 +471,20 @@ let record_parallel_stats metrics (stats : Pool.stats) =
        ((float_of_int stats.Pool.jobs *. stats.Pool.elapsed) -. stats.Pool.busy))
 
 let run_many_par ?thresholds ?max_steps ?deadline ?snapshot_every
-    ?suspend_on_deadline ?on_snapshot ?load_suspended ?jobs
-    ?(progress = fun _ _ -> ()) ?save ?load ?sink ?metrics ?report benches =
+    ?suspend_on_deadline ?store ?jobs ?(progress = fun _ _ -> ()) ?sink
+    ?metrics ?report benches =
   let jobs =
     match jobs with Some j -> max 1 j | None -> Pool.default_jobs ()
   in
+  let lookup = lookup ?store ?sink ?metrics () in
   if jobs <= 1 then
-    run_many ?thresholds ?max_steps ?deadline ?snapshot_every
-      ?suspend_on_deadline ?on_snapshot ?load_suspended ~progress ?save ?load
-      benches
+    run_sequential ?thresholds ?max_steps ?deadline ?snapshot_every
+      ?suspend_on_deadline ?store ~progress ~lookup benches
   else begin
-    (* Resume scan up front, on the collector domain: checkpoint reads
-       never race the workers, and a resumed benchmark never becomes a
-       task at all.  Suspended mid-run state is scanned here too — a
-       worker then continues the engine instead of restarting it. *)
-    let entries =
-      List.map
-        (fun bench ->
-          match Option.bind load (fun f -> f bench) with
-          | Some d ->
-              progress bench.Spec.name Resumed;
-              (bench, Some d)
-          | None -> (bench, None))
-        benches
-    in
-    let pending =
-      Array.of_list
-        (List.filter_map
-           (fun (b, d) ->
-             if d = None then
-               Some (b, Option.bind load_suspended (fun f -> f b))
-             else None)
-           entries)
-    in
+    let entries, pending = scan ~progress ~lookup benches in
+    (* Suspended mid-run state is scanned up front too — a worker then
+       continues the engine instead of restarting it. *)
+    let pending = Array.map (fun b -> (b, load_suspended store b)) pending in
     let name task = (fst pending.(task)).Spec.name in
     let on_event =
       let forward =
@@ -451,7 +504,7 @@ let run_many_par ?thresholds ?max_steps ?deadline ?snapshot_every
        writer until the task completes.) *)
     let on_result task = function
       | Ok d ->
-          Option.iter (fun f -> f d) save;
+          save store d;
           progress (name task) Finished
       | Error (Error.Suspended _) -> progress (name task) Suspended
       | Error e -> progress (name task) (Failed e)
@@ -460,28 +513,13 @@ let run_many_par ?thresholds ?max_steps ?deadline ?snapshot_every
       Pool.map ~jobs ~on_event ~on_result
         (fun (bench, resume) ->
           run_benchmark_result ?thresholds ?max_steps ?deadline
-            ?snapshot_every ?suspend_on_deadline ?on_snapshot ?resume bench)
+            ?snapshot_every ?suspend_on_deadline
+            ?on_snapshot:(on_snapshot store) ?resume bench)
         pending
     in
     Option.iter (fun m -> record_parallel_stats m stats) metrics;
     Option.iter (fun f -> f stats) report;
-    (* Deterministic merge: walk the benchmarks in input order, pulling
-       resumed data or the task result tagged with the next pending
-       index — the same [sweep] the sequential path builds. *)
-    let next = ref 0 in
-    let data = ref [] and failures = ref [] in
-    List.iter
-      (fun (bench, resumed) ->
-        match resumed with
-        | Some d -> data := d :: !data
-        | None -> (
-            let r = results.(!next) in
-            incr next;
-            match r with
-            | Ok d -> data := d :: !data
-            | Error e -> failures := { failed = bench; error = e } :: !failures))
-      entries;
-    { data = List.rev !data; failures = List.rev !failures }
+    merge entries ~outcome:(fun task _ -> results.(task))
   end
 
 (* ---- supervised sweeps ------------------------------------------------ *)
@@ -525,25 +563,17 @@ let record_supervision_metrics metrics (s : Sup.stats) =
     s.Sup.crashes
 
 let run_many_supervised ?thresholds ?max_steps ?deadline ?snapshot_every
-    ?suspend_on_deadline ?on_snapshot ?load_suspended ?jobs ?policy
-    ?(progress = fun _ _ -> ()) ?save ?load ?sink ?metrics ?report ?run_task
-    benches =
+    ?suspend_on_deadline ?store ?jobs ?policy ?(progress = fun _ _ -> ())
+    ?sink ?metrics ?report ?run_task benches =
   let module Tel = Tpdbt_telemetry in
   (* Resume scan up front on the collector, exactly as [run_many_par]:
      resumed benchmarks never become supervised tasks. *)
-  let entries =
-    List.map
-      (fun bench ->
-        match Option.bind load (fun f -> f bench) with
-        | Some d ->
-            progress bench.Spec.name Resumed;
-            (bench, Some d)
-        | None -> (bench, None))
-      benches
+  let corrupt = ref [] in
+  let on_corrupt (bench : Spec.t) reason =
+    corrupt := (bench.Spec.name, reason) :: !corrupt
   in
-  let pending =
-    Array.of_list
-      (List.filter_map (fun (b, d) -> if d = None then Some b else None) entries)
+  let entries, pending =
+    scan ~progress ~lookup:(lookup ?store ?sink ?metrics ~on_corrupt ()) benches
   in
   let run_task =
     match run_task with
@@ -555,9 +585,10 @@ let run_many_supervised ?thresholds ?max_steps ?deadline ?snapshot_every
            restarting.  Only this task writes this benchmark's file,
            so the read cannot race another writer. *)
         fun ~task:_ ~attempt:_ bench ->
-          let resume = Option.bind load_suspended (fun f -> f bench) in
           run_benchmark_result ?thresholds ?max_steps ?deadline
-            ?snapshot_every ?suspend_on_deadline ?on_snapshot ?resume bench
+            ?snapshot_every ?suspend_on_deadline
+            ?on_snapshot:(on_snapshot store)
+            ?resume:(load_suspended store bench) bench
   in
   (* The last fatal typed error each task produced: a poisoned task's
      entry in [failures] keeps the engine's own diagnosis when there is
@@ -628,7 +659,7 @@ let run_many_supervised ?thresholds ?max_steps ?deadline ?snapshot_every
   in
   let on_result task = function
     | Ok d ->
-        Option.iter (fun f -> f d) save;
+        save store d;
         progress (name task) Finished
     | Error (Error.Suspended _) -> progress (name task) Suspended
     | Error _ -> ()
@@ -640,35 +671,22 @@ let run_many_supervised ?thresholds ?max_steps ?deadline ?snapshot_every
   in
   Option.iter (fun m -> record_supervision_metrics m stats) metrics;
   Option.iter (fun f -> f stats) report;
-  let next = ref 0 in
-  let data = ref [] and failures = ref [] and poisoned = ref [] in
-  List.iter
-    (fun (bench, resumed) ->
-      match resumed with
-      | Some d -> data := d :: !data
-      | None -> (
-          let task = !next in
-          incr next;
-          match outcomes.(task) with
-          | Sup.Done (Ok d) -> data := d :: !data
-          | Sup.Done (Error e) ->
-              (* a suspended task resolves here (the classifier lets it
-                 through without retry); any other typed error is
-                 rejected by the classifier and resolves poisoned *)
-              failures := { failed = bench; error = e } :: !failures
-          | Sup.Poisoned { reason; _ } ->
-              let error =
-                match last_error.(task) with
-                | Some e -> e
-                | None ->
-                    Error.Io_error ("supervised task poisoned: " ^ reason)
-              in
-              poisoned := (bench, reason) :: !poisoned;
-              failures := { failed = bench; error } :: !failures))
-    entries;
-  ( { data = List.rev !data; failures = List.rev !failures },
-    {
-      sup = stats;
-      poisoned = List.rev !poisoned;
-      corrupt = [];
-    } )
+  let poisoned = ref [] in
+  let sweep =
+    merge entries ~outcome:(fun task bench ->
+        match outcomes.(task) with
+        | Sup.Done r ->
+            (* a suspended task resolves here (the classifier lets it
+               through without retry); any other typed error is
+               rejected by the classifier and resolves poisoned *)
+            r
+        | Sup.Poisoned { reason; _ } ->
+            poisoned := (bench, reason) :: !poisoned;
+            Error
+              (match last_error.(task) with
+              | Some e -> e
+              | None -> Error.Io_error ("supervised task poisoned: " ^ reason)))
+  in
+  ( sweep,
+    { sup = stats; poisoned = List.rev !poisoned; corrupt = List.rev !corrupt }
+  )

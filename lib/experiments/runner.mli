@@ -178,30 +178,21 @@ val status_name : status -> string
 (** ["started"], ["ok"], ["failed"], ["resumed"], ["poisoned"],
     ["suspended"]. *)
 
-val run_many :
-  ?thresholds:(string * int) list ->
-  ?max_steps:int ->
-  ?deadline:int ->
-  ?snapshot_every:int ->
-  ?suspend_on_deadline:bool ->
-  ?on_snapshot:(partial -> unit) ->
-  ?load_suspended:(Tpdbt_workloads.Spec.t -> partial option) ->
-  ?progress:(string -> status -> unit) ->
-  ?save:(data -> unit) ->
-  ?load:(Tpdbt_workloads.Spec.t -> data option) ->
-  Tpdbt_workloads.Spec.t list ->
-  sweep
-(** Sweep over benchmarks with per-benchmark failure isolation: a run
-    that ends with a typed error lands in [failures] and the sweep
-    continues.  [progress] is called with the benchmark name as each
-    one starts and again when it finishes (ok / failed / resumed).
-    [load] is consulted before running a benchmark — returning [Some]
-    skips the run entirely — and [save] receives each freshly computed
-    {!data}; wire both to {!Checkpoint.hooks} for resumable sweeps.
-    [load_suspended] is consulted for benchmarks [load] does not
-    satisfy: a returned {!partial} resumes the benchmark mid-run.  The
-    snapshot controls ([snapshot_every], [suspend_on_deadline],
-    [on_snapshot]) pass through to {!run_benchmark_result}. *)
+type store = {
+  load : Tpdbt_workloads.Spec.t -> (data option, string) result;
+      (** the finished result to reuse instead of running; [Ok None]
+          runs the benchmark, [Error reason] marks a damaged entry,
+          which is re-run and reported *)
+  save : data -> unit;  (** receives each freshly computed {!data} *)
+  load_suspended : Tpdbt_workloads.Spec.t -> partial option;
+      (** mid-run state to resume a benchmark [load] did not satisfy *)
+  on_snapshot : partial -> unit;
+      (** receives each mid-run snapshot ([snapshot_every],
+          [suspend_on_deadline]) *)
+}
+(** Where a sweep keeps its results; {!Checkpoint.store} builds the
+    on-disk one.  Without a store every benchmark runs from scratch and
+    nothing is kept. *)
 
 val run_many_par :
   ?thresholds:(string * int) list ->
@@ -209,33 +200,44 @@ val run_many_par :
   ?deadline:int ->
   ?snapshot_every:int ->
   ?suspend_on_deadline:bool ->
-  ?on_snapshot:(partial -> unit) ->
-  ?load_suspended:(Tpdbt_workloads.Spec.t -> partial option) ->
+  ?store:store ->
   ?jobs:int ->
   ?progress:(string -> status -> unit) ->
-  ?save:(data -> unit) ->
-  ?load:(Tpdbt_workloads.Spec.t -> data option) ->
   ?sink:Tpdbt_telemetry.Sink.t ->
   ?metrics:Tpdbt_telemetry.Metrics.t ->
   ?report:(Tpdbt_parallel.Pool.stats -> unit) ->
   Tpdbt_workloads.Spec.t list ->
   sweep
-(** {!run_many} over a {!Tpdbt_parallel.Pool} of [jobs] worker domains
-    (default {!Tpdbt_parallel.Pool.default_jobs}; [jobs <= 1]
-    short-circuits to the sequential {!run_many}, spawning nothing).
+(** Sweep over benchmarks with per-benchmark failure isolation: a run
+    that ends with a typed error lands in [failures] and the sweep
+    continues.  [progress] is called with the benchmark name as each
+    one starts and again when it finishes (ok / failed / resumed /
+    suspended).  With a [store], each benchmark is first looked up in
+    it (a stored result skips the run), each fresh result is saved to
+    it, suspended state resumes from it and mid-run snapshots go to
+    it.  The snapshot controls ([snapshot_every],
+    [suspend_on_deadline]) pass through to {!run_benchmark_result}.
 
-    The merged {!sweep} is {e identical} to the sequential one for
-    every job count: each benchmark is an isolated engine computation
-    with per-spec fixed seeds, results are tagged by task index and
-    merged in input order.  Only observability differs — [progress]
-    lines arrive in completion order rather than input order.
+    [jobs] worker domains of a {!Tpdbt_parallel.Pool} run the
+    benchmarks (default {!Tpdbt_parallel.Pool.default_jobs}).
+    [jobs <= 1] runs them in order on the calling domain, spawning
+    nothing, with no worker events and no [report].
 
-    Single-writer invariant: [progress], [save], [load], [sink],
-    [metrics] and [report] all run on the {e calling} domain (the
-    collector).  [load] is consulted for every benchmark before any
-    worker starts (resumed benchmarks never become tasks); each [save]
-    fires as its benchmark's result arrives, so a sweep killed
-    mid-flight resumes exactly like a sequential one.
+    The merged {!sweep} is {e identical} for every job count: each
+    benchmark is an isolated engine computation with per-spec fixed
+    seeds, results are tagged by task index and merged in input order.
+    Only observability differs — [progress] lines arrive in completion
+    order rather than input order.
+
+    Single-writer invariant: [progress], the store's [load] and
+    [save], [sink], [metrics] and [report] all run on the {e calling}
+    domain (the collector).  At [jobs > 1] the store is consulted for
+    every benchmark before any worker starts (resumed benchmarks never
+    become tasks); each [save] fires as its benchmark's result
+    arrives, so a sweep killed mid-flight resumes exactly like a
+    sequential one.  A damaged store entry ([load] returns [Error]) is
+    re-run, emitted as a [checkpoint.corrupt] event on [sink] and
+    counted in the [checkpoint.corrupt] metric.
 
     [sink] receives [worker.start] / [worker.steal] / [worker.finish]
     events stamped with a scheduler sequence number; [metrics] gains
@@ -243,10 +245,11 @@ val run_many_par :
     [parallel.steals] / [parallel.tasks] counters; [report] is called
     once with the pool's {!Tpdbt_parallel.Pool.stats}.
 
-    Exception to the single-writer rule: [on_snapshot] runs on the
-    {e worker} executing the benchmark.  Each benchmark's suspended
-    state has that worker as its only writer until the task completes,
-    so per-benchmark files (the checkpoint store) stay race-free. *)
+    Exception to the single-writer rule: the store's [on_snapshot]
+    runs on the {e worker} executing the benchmark.  Each benchmark's
+    suspended state has that worker as its only writer until the task
+    completes, so per-benchmark files (the checkpoint store) stay
+    race-free. *)
 
 type supervision = {
   sup : Tpdbt_parallel.Supervisor.stats;
@@ -254,9 +257,8 @@ type supervision = {
       (** quarantined benchmarks with the last failure reason, in
           input order; each also appears in the sweep's [failures] *)
   corrupt : (string * string) list;
-      (** damaged checkpoints detected during the resume scan, as
-          [(bench name, reason)] — filled by
-          {!Checkpoint.run_many_supervised}; empty here *)
+      (** damaged store entries detected during the resume scan, as
+          [(bench name, reason)], in scan order *)
 }
 
 val run_many_supervised :
@@ -265,13 +267,10 @@ val run_many_supervised :
   ?deadline:int ->
   ?snapshot_every:int ->
   ?suspend_on_deadline:bool ->
-  ?on_snapshot:(partial -> unit) ->
-  ?load_suspended:(Tpdbt_workloads.Spec.t -> partial option) ->
+  ?store:store ->
   ?jobs:int ->
   ?policy:Tpdbt_parallel.Supervisor.policy ->
   ?progress:(string -> status -> unit) ->
-  ?save:(data -> unit) ->
-  ?load:(Tpdbt_workloads.Spec.t -> data option) ->
   ?sink:Tpdbt_telemetry.Sink.t ->
   ?metrics:Tpdbt_telemetry.Metrics.t ->
   ?report:(Tpdbt_parallel.Supervisor.stats -> unit) ->
@@ -306,9 +305,18 @@ val run_many_supervised :
     A task that returns [Error (Suspended _)] is {e not} retried: the
     benchmark is parked on its on-disk snapshot ([Suspended] progress)
     and lands in [failures] for the caller to resume later.  The
-    default [run_task] consults [load_suspended] on {e every} attempt,
-    so a retry of a task whose earlier attempt crashed after a mid-run
-    snapshot continues from that snapshot instead of restarting. *)
+    default [run_task] consults the store's [load_suspended] on
+    {e every} attempt, so a retry of a task whose earlier attempt
+    crashed after a mid-run snapshot continues from that snapshot
+    instead of restarting.
+
+    Damaged store entries found during the resume scan are re-run and
+    listed in [supervision.corrupt] besides the telemetry
+    {!run_many_par} emits for them.  Together with the supervisor this
+    closes the loop: a sweep survives task failures, worker crashes, a
+    kill at an arbitrary guest instruction {e and} a corrupted
+    checkpoint store, and still produces results byte-identical to an
+    undisturbed run for every non-poisoned benchmark. *)
 
 val run_ref :
   ?sink:Tpdbt_telemetry.Sink.t ->
@@ -339,15 +347,3 @@ val run_traced :
     ({!Tpdbt_dbt.Perf_model.record}) into a fresh registry, and closes
     every sink.  [extra_sinks] (e.g. a streaming JSONL writer) receive
     the same events; they are closed too.  Powers [tpdbt trace]. *)
-
-val run_custom :
-  ?sink:Tpdbt_telemetry.Sink.t ->
-  Tpdbt_workloads.Spec.t ->
-  config:Tpdbt_dbt.Engine.config ->
-  Tpdbt_dbt.Engine.result * Tpdbt_dbt.Engine.result * Tpdbt_profiles.Metrics.comparison
-(** One reference-input run under an arbitrary engine configuration:
-    [(result, avep_result, comparison_vs_avep)].  Used by the ablation
-    studies.  [sink], if given, observes the custom run (not the AVEP
-    reference run).
-    @raise Tpdbt_dbt.Error.Error if either run ends with a typed
-    error. *)

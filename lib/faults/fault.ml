@@ -45,15 +45,3 @@ let injected report =
 
 let pp_arm ppf arm =
   Format.fprintf ppf "@[<h>%s@@%d@]" (kind_name arm.kind) arm.step
-
-let pp_shot ppf shot =
-  Format.fprintf ppf "@[<h>%s armed@%d fired@%d target %d@]"
-    (kind_name shot.arm.kind) shot.arm.step shot.fired_step shot.target
-
-let pp_report ppf report =
-  Format.fprintf ppf "@[<v>fired %d (%d with a victim):@,"
-    (List.length report.fired) (injected report);
-  List.iter (fun s -> Format.fprintf ppf "  %a@," pp_shot s) report.fired;
-  Format.fprintf ppf "unfired %d:@," (List.length report.unfired);
-  List.iter (fun a -> Format.fprintf ppf "  %a@," pp_arm a) report.unfired;
-  Format.fprintf ppf "@]"

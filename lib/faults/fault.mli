@@ -73,5 +73,3 @@ val injected : report -> int
 (** Number of shots that hit a victim ([target >= 0]). *)
 
 val pp_arm : Format.formatter -> arm -> unit
-val pp_shot : Format.formatter -> shot -> unit
-val pp_report : Format.formatter -> report -> unit

@@ -51,9 +51,10 @@ let lower labels (pseudo, line) =
       Ok (Instr.Call addr)
   | Asm_parser.Ret -> Ok Instr.Ret
   | Asm_parser.Rnd (rd, bound) ->
-      if bound <= 0 then
-        Error (Printf.sprintf "line %d: rnd bound must be positive" line)
-      else Ok (Instr.Rnd (rd, bound))
+      (* A non-positive bound is well-formed text: [Check] reports it
+         and the machine traps on it ([Invalid_rnd_bound]), so every
+         program [Disasm] prints assembles back. *)
+      Ok (Instr.Rnd (rd, bound))
   | Asm_parser.Out rs -> Ok (Instr.Out rs)
   | Asm_parser.Halt -> Ok Instr.Halt
   | Asm_parser.Nop -> Ok Instr.Nop

@@ -100,8 +100,6 @@ let check (p : Program.t) =
   in
   if !has_halt then positional else positional @ [ No_reachable_halt ]
 
-let is_clean p = check p = []
-
 let pp_issue ppf = function
   | Unreachable_code { start_pc; count } ->
       Format.fprintf ppf "unreachable code: %d instruction(s) from pc %d" count

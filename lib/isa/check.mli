@@ -25,5 +25,4 @@ val check : Program.t -> issue list
 (** All issues, ordered by program position ([No_reachable_halt]
     last). *)
 
-val is_clean : Program.t -> bool
 val pp_issue : Format.formatter -> issue -> unit

@@ -4,7 +4,8 @@
     programs with {e phases}: intervals whose branch behaviour differs
     from the whole-run average.  This module detects such phases
     offline from a series of cumulative profile checkpoints
-    ({!Tpdbt_dbt.Engine.run}'s [on_checkpoint]):
+    (the [snapshot] of each {!Tpdbt_dbt.Engine.run} that a
+    [snapshot_every] cadence suspends):
 
     - consecutive checkpoints are differenced into {e window} profiles
       (per-block use/taken deltas);
@@ -27,22 +28,6 @@ val windows : (int * Tpdbt_dbt.Snapshot.t) list -> window list
     @raise Invalid_argument if the series is not strictly increasing in
     steps or the snapshots disagree on block count. *)
 
-val window_branch_prob : window -> int -> float option
-(** Branch probability of a block within one window ([None] if the
-    block did not execute there). *)
-
-val distance : Tpdbt_dbt.Block_map.t -> window -> window -> float
-(** Weighted mean absolute branch-probability difference between two
-    windows, over conditional blocks executed in both; weight is the
-    combined window execution count.  0 when nothing is comparable. *)
-
-val max_shift :
-  ?min_executions:int -> Tpdbt_dbt.Block_map.t -> window -> window -> float
-(** Largest per-block branch-probability change between two windows,
-    over conditional blocks executed at least [min_executions] (default
-    16) times in each — robust against dilution by stable
-    high-frequency blocks. *)
-
 type change_point = { steps : int; distance : float; shift : float }
 
 val change_points :
@@ -51,8 +36,10 @@ val change_points :
   Tpdbt_dbt.Block_map.t ->
   (int * Tpdbt_dbt.Snapshot.t) list ->
   change_point list
-(** Boundaries between adjacent windows whose weighted {!distance}
-    exceeds [threshold] (default 0.1) {e or} whose {!max_shift} exceeds
-    [shift_threshold] (default 0.3); chronological.  The latter
-    criterion catches a phase change in a moderately-hot branch that
-    the frequency-weighted mean would drown out. *)
+(** Boundaries between adjacent windows whose distance exceeds
+    [threshold] (default 0.1) {e or} whose largest per-block
+    branch-probability change (over conditional blocks executed at
+    least 16 times in each window) exceeds [shift_threshold] (default
+    0.3); chronological.  The shift criterion catches a phase change
+    in a moderately-hot branch that the frequency-weighted mean would
+    drown out. *)

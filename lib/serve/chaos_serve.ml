@@ -98,7 +98,7 @@ let run ?benches ?max_steps ~dir ~seed () =
   in
 
   (* Fault-free offline reference: the byte-diff target. *)
-  let reference_sweep = Runner.run_many ?max_steps benches in
+  let reference_sweep = Runner.run_many_par ?max_steps ~jobs:1 benches in
   (match reference_sweep.Runner.failures with
   | [] -> ()
   | { Runner.failed; error } :: _ ->

@@ -18,19 +18,6 @@ type request =
       return_results : bool;
     }
 
-let op_name = function
-  | Ping -> "ping"
-  | Status -> "status"
-  | Metrics -> "metrics"
-  | Drain -> "drain"
-  | Translate _ -> "translate"
-  | Run _ -> "run"
-  | Sweep _ -> "sweep"
-
-let expensive = function
-  | Translate _ | Run _ | Sweep _ -> true
-  | Ping | Status | Metrics | Drain -> false
-
 (* ---- strict validation ------------------------------------------------- *)
 
 exception Reject of string

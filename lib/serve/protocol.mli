@@ -55,11 +55,6 @@ val parse_request : string -> (request, string) result
     then closed-schema validation.  [Error] carries the reason echoed
     in the [invalid] reply. *)
 
-val op_name : request -> string
-val expensive : request -> bool
-(** Does the request go through the admission queue?  [translate],
-    [run] and [sweep] do; probes and [drain] are answered inline. *)
-
 val cache_key : request -> string option
 (** Canonical warm-cache key for requests whose reply is a pure
     function of their parameters ([translate], [run]); [None]

@@ -51,7 +51,6 @@ type t = {
       (** snapshot refs are appended from worker domains mid-sweep;
           every other append happens on the calling domain *)
   recovered : (int * string list) list;
-  recovered_snapshots : (int * string) list;
   queue : job Queue.t;
   dead : (int, unit) Hashtbl.t;  (** disconnected clients *)
   run_task :
@@ -110,7 +109,6 @@ let create ?run_task ?on_progress config =
       journal;
       journal_lock = Mutex.create ();
       recovered = recovery.Journal.inflight;
-      recovered_snapshots = recovery.Journal.snapshot_refs;
       queue = Queue.create ();
       dead = Hashtbl.create 16;
       run_task;
@@ -262,13 +260,13 @@ let exec_sweep t job ~benches ~max_steps ~return_results =
     in
     journal_append t (Journal.Sweep_begin { id = journal_id; benches = names });
     let max_steps = effective_max_steps t max_steps in
-    let sweep, supervision =
-      match t.config.checkpoint_dir with
-      | Some dir ->
-          (* With [snapshot_every] armed, each benchmark periodically
-             publishes its mid-run state into the store; the matching
-             journal ref lets a restarted daemon see that its orphaned
-             sweep will resume mid-run rather than re-run. *)
+    (* With [snapshot_every] armed, each benchmark periodically
+       publishes its mid-run state into the store; the matching journal
+       ref lets a restarted daemon see that its orphaned sweep will
+       resume mid-run rather than re-run. *)
+    let store =
+      Option.map
+        (fun dir ->
           let on_snapshot_saved =
             if t.config.snapshot_every > 0 then
               Some
@@ -277,15 +275,15 @@ let exec_sweep t job ~benches ~max_steps ~return_results =
                     (Journal.Snapshot_ref { id = journal_id; bench }))
             else None
           in
-          Checkpoint.run_many_supervised ?max_steps
-            ?deadline:t.config.deadline
-            ~snapshot_every:t.config.snapshot_every ?on_snapshot_saved
-            ~jobs:t.config.jobs ?progress:t.on_progress ?run_task:t.run_task
-            ~dir selected
-      | None ->
-          Runner.run_many_supervised ?max_steps ?deadline:t.config.deadline
-            ~jobs:t.config.jobs ?progress:t.on_progress ?run_task:t.run_task
-            selected
+          Checkpoint.store ?on_snapshot_saved ~dir ())
+        t.config.checkpoint_dir
+    in
+    let sweep, supervision =
+      Runner.run_many_supervised ?max_steps ?deadline:t.config.deadline
+        ~snapshot_every:
+          (if Option.is_some store then t.config.snapshot_every else 0)
+        ?store ~jobs:t.config.jobs
+        ?progress:t.on_progress ?run_task:t.run_task selected
     in
     journal_append t (Journal.Sweep_end { id = journal_id });
     let poisoned =
@@ -532,7 +530,6 @@ let idle t = Queue.is_empty t.queue
 let pending t = Queue.length t.queue
 let queue_peak t = t.peak
 let recovered t = t.recovered
-let recovered_snapshots t = t.recovered_snapshots
 let metrics t = t.reg
 
 let close t =

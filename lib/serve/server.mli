@@ -130,17 +130,9 @@ val queue_peak : t -> int
 val recovered : t -> (int * string list) list
 (** Journal-recovered in-flight sweeps re-enqueued at creation. *)
 
-val recovered_snapshots : t -> (int * string) list
-(** Journal-recovered mid-run snapshot refs of those sweeps: which
-    benchmarks the checkpoint store can resume at guest-instruction
-    granularity rather than re-run. *)
-
 val metrics : t -> Tpdbt_telemetry.Metrics.t
 (** The [serve.*] registry (gauges refreshed on read via {!offer}'s
     [status]/[metrics] ops; counters always live). *)
-
-val status_reply : t -> string
-(** The [status] reply body — exposed for the daemon's logs/tests. *)
 
 val close : t -> unit
 (** Flush and close the journal; a drained idle server journals

@@ -138,7 +138,6 @@ val kind_name : t -> string
 
 val region_kind_name : region_kind -> string
 val pool_reason_name : pool_reason -> string
-val recovery_action_name : recovery_action -> string
 
 val payload : t -> (string * string) list
 (** Constructor-specific fields as [(key, rendered JSON value)] pairs

@@ -41,5 +41,4 @@ val parse : string -> family list
 exception Bad of int * string
 (** Line number and reason. *)
 
-val parse_result : string -> (family list, string) result
 val validate : string -> (unit, string) result

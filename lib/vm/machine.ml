@@ -215,11 +215,6 @@ let mem t addr =
     invalid_arg (Printf.sprintf "Machine.mem: address %d out of range" addr)
   else t.memory.(addr)
 
-let set_mem t addr v =
-  if addr < 0 || addr >= t.mem_len then
-    invalid_arg (Printf.sprintf "Machine.set_mem: address %d out of range" addr)
-  else t.memory.(addr) <- wrap32 v
-
 let outputs t = Array.to_list (Array.sub t.out_buf 0 t.out_len)
 
 let poison t pc =
@@ -505,17 +500,6 @@ let step_code t =
             end
       end
     end
-
-let step t =
-  match step_code t with
-  | 0 -> Ok Stepped
-  | 1 -> Ok (Branched { taken = false })
-  | 2 -> Ok (Branched { taken = true })
-  | 3 -> Ok Jumped
-  | 4 -> Ok Called
-  | 5 -> Ok Returned
-  | 6 -> Ok Halted
-  | _ -> ( match t.trap with Some tr -> Error tr | None -> assert false)
 
 (* Reference decoder: the pre-dispatch-table interpreter, matching
    directly on [Instr.t].  Kept as the executable specification the

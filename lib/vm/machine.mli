@@ -39,17 +39,16 @@ type event =
 
     The allocation-free counterpart of {!event}, returned by
     {!step_code}.  Codes [0..5] mean the machine is still running
-    ([c <= ev_returned]); [ev_halted]/[ev_trapped] are terminal.  After
-    [ev_trapped], {!last_trap} holds the trap. *)
+    ([c <= ev_returned]; the codes between [ev_branch_taken] and
+    [ev_returned] are a jump and a call); [ev_halted] and any code
+    above it are terminal.  A code above [ev_halted] is a trap, which
+    {!last_trap} then holds. *)
 
 val ev_stepped : int
 val ev_branch_not_taken : int
 val ev_branch_taken : int
-val ev_jumped : int
-val ev_called : int
 val ev_returned : int
 val ev_halted : int
-val ev_trapped : int
 
 type t
 
@@ -70,7 +69,6 @@ val set_reg : t -> Tpdbt_isa.Reg.t -> int -> unit
 val mem : t -> int -> int
 (** @raise Invalid_argument on out-of-range address. *)
 
-val set_mem : t -> int -> int -> unit
 val outputs : t -> int list
 (** Values emitted by [out], oldest first. *)
 
@@ -84,21 +82,15 @@ val poisoned : t -> int -> bool
 
 val step_code : t -> int
 (** Execute one instruction and report it as an int event code
-    ({!ev_stepped} … {!ev_trapped}).  This is the hot-path entry point:
+    (see {!ev_stepped}).  This is the hot-path entry point:
     instructions are predecoded into flat int dispatch tables at
     {!create} time and a steady-state step allocates nothing.  After
-    [ev_halted] (or [ev_trapped]) the machine no longer advances;
-    further calls return the same code. *)
+    [ev_halted] (or a trap) the machine no longer advances; further
+    calls return the same code. *)
 
 val last_trap : t -> trap option
 (** The trap that halted the machine, if any — the out-of-band channel
-    for {!step_code}'s [ev_trapped]. *)
-
-val step : t -> (event, trap) result
-(** Execute one instruction.  After [Ok Halted] (or an error) the machine
-    no longer advances; further [step] calls return [Ok Halted] /
-    the same trap.  Equivalent to {!step_code} plus an allocated
-    report; cold callers only. *)
+    for {!step_code}'s trap code. *)
 
 val step_spec : t -> (event, trap) result
 (** Reference decoder: executes one instruction by matching directly on

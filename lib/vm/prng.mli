@@ -11,12 +11,8 @@ val copy : t -> t
 
 val state : t -> int * int * int * int
 (** [(hi, lo, zhi, zlo)] — the two 32-bit state limbs followed by the
-    two limbs of the last drawn value.  Together with {!of_state} this
+    two limbs of the last drawn value.  Together with {!set} this
     round-trips the generator exactly, for mid-run snapshots. *)
-
-val of_state : int * int * int * int -> t
-(** Rebuild a generator from {!state} output.
-    @raise Invalid_argument if any limb is outside [0, 2^32). *)
 
 val set : t -> int * int * int * int -> unit
 (** Overwrite an existing generator in place with {!state} output.

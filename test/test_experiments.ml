@@ -80,7 +80,7 @@ let mini_thresholds = [ ("100", 1); ("1k", 10); ("10k", 100) ]
 
 let mini_sweep =
   lazy
-    (Runner.run_many ~thresholds:mini_thresholds
+    (Runner.run_many_par ~thresholds:mini_thresholds ~jobs:1
        [ mini "mini-int" `Int; mini "mini-fp" `Fp ])
 
 let mini_data = lazy ((Lazy.force mini_sweep).Runner.data)

@@ -257,6 +257,8 @@ let test_campaign_recoverable_kinds_recover () =
 
 let mini_thresholds = [ ("100", 1); ("1k", 10) ]
 
+let store dir = Checkpoint.store ~thresholds:mini_thresholds ~dir ()
+
 let with_temp_dir f =
   let dir = Filename.temp_file "tpdbt-ckpt" "" in
   Sys.remove dir;
@@ -292,13 +294,15 @@ let test_checkpoint_resume_identity () =
       let statuses = ref [] in
       let progress n s = statuses := (n, Runner.status_name s) :: !statuses in
       let first =
-        Checkpoint.run_many ~thresholds:mini_thresholds ~progress ~dir benches
+        Runner.run_many_par ~thresholds:mini_thresholds ~jobs:1 ~progress
+          ~store:(store dir) benches
       in
       checkb "first pass ran everything" true
         (List.for_all (fun (_, s) -> s <> "resumed") !statuses);
       statuses := [];
       let second =
-        Checkpoint.run_many ~thresholds:mini_thresholds ~progress ~dir benches
+        Runner.run_many_par ~thresholds:mini_thresholds ~jobs:1 ~progress
+          ~store:(store dir) benches
       in
       checkb "second pass resumed everything" true
         (!statuses <> []

@@ -272,6 +272,18 @@ let test_rnd_bound_trap () =
   let v = Oracle.check ~seed:1L p in
   checkb "trap identity across all arms" true (v.Oracle.divergences = [])
 
+(* Disasm's contract: whatever it prints assembles back to the same
+   program — including the non-positive rnd bounds the generator emits
+   on purpose. *)
+let test_disasm_roundtrip_property () =
+  for seed = 1 to 200 do
+    let p = Gen.program (Prng.create ~seed:(Int64.of_int seed)) Gen.default in
+    match Tpdbt_isa.Assembler.assemble (Tpdbt_isa.Disasm.disassemble p) with
+    | Ok q when q = p -> ()
+    | Ok _ -> Alcotest.failf "seed %d: reassembled program differs" seed
+    | Error e -> Alcotest.failf "seed %d: disassembly rejected: %s" seed e
+  done
+
 let test_build_result_vetting () =
   (match Block_map.build_result (Program.make [| Instr.Halt |]) with
   | Ok _ -> ()
@@ -444,6 +456,8 @@ let suite =
     Alcotest.test_case "campaign persists reproducers" `Quick
       test_campaign_persists_reproducers;
     Alcotest.test_case "rnd bound trap is typed" `Quick test_rnd_bound_trap;
+    Alcotest.test_case "disasm roundtrip property" `Quick
+      test_disasm_roundtrip_property;
     Alcotest.test_case "build_result vets untrusted programs" `Quick
       test_build_result_vetting;
     Alcotest.test_case "json string roundtrip property" `Quick

@@ -341,6 +341,8 @@ let mini ?(iters = 3000) name =
 
 let mini_thresholds = [ ("100", 1); ("1k", 10) ]
 
+let store dir = Checkpoint.store ~thresholds:mini_thresholds ~dir ()
+
 let mini_benches () =
   [
     mini "par-a";
@@ -401,16 +403,16 @@ let test_checkpoint_bytes_identical_across_jobs () =
   let benches = mini_benches () in
   with_temp_dir (fun seq_dir ->
       let _ =
-        Checkpoint.run_many_par ~thresholds:mini_thresholds ~jobs:1
-          ~dir:seq_dir benches
+        Runner.run_many_par ~thresholds:mini_thresholds ~jobs:1
+          ~store:(store seq_dir) benches
       in
       let reference = checkpoint_bytes seq_dir benches in
       List.iter
         (fun jobs ->
           with_temp_dir (fun par_dir ->
               let _ =
-                Checkpoint.run_many_par ~thresholds:mini_thresholds ~jobs
-                  ~dir:par_dir benches
+                Runner.run_many_par ~thresholds:mini_thresholds ~jobs
+                  ~store:(store par_dir) benches
               in
               checks
                 (Printf.sprintf "checkpoint files identical at -j %d" jobs)
@@ -427,13 +429,14 @@ let test_resume_mid_sweep_parallel () =
   let half = [ List.nth benches 0; List.nth benches 2 ] in
   with_temp_dir (fun dir ->
       let _ =
-        Checkpoint.run_many_par ~thresholds:mini_thresholds ~jobs:4 ~dir half
+        Runner.run_many_par ~thresholds:mini_thresholds ~jobs:4
+          ~store:(store dir) half
       in
       let statuses = ref [] in
       let progress n s = statuses := (n, Runner.status_name s) :: !statuses in
       let resumed =
-        Checkpoint.run_many_par ~thresholds:mini_thresholds ~jobs:4 ~progress
-          ~dir benches
+        Runner.run_many_par ~thresholds:mini_thresholds ~jobs:4 ~progress
+          ~store:(store dir) benches
       in
       List.iter
         (fun b ->
@@ -453,8 +456,8 @@ let test_resume_mid_sweep_parallel () =
       checks "checkpoint set byte-identical"
         (with_temp_dir (fun d2 ->
              let _ =
-               Checkpoint.run_many_par ~thresholds:mini_thresholds ~jobs:1
-                 ~dir:d2 benches
+               Runner.run_many_par ~thresholds:mini_thresholds ~jobs:1
+                 ~store:(store d2) benches
              in
              checkpoint_bytes d2 benches))
         (checkpoint_bytes dir benches))
@@ -483,7 +486,16 @@ let test_callbacks_single_writer () =
       ~progress:(fun n s ->
         observe ();
         progress_log := (n, Runner.status_name s) :: !progress_log)
-      ~save:(fun _ -> observe ())
+      ~store:
+        {
+          Runner.load =
+            (fun _ ->
+              observe ();
+              Ok None);
+          save = (fun _ -> observe ());
+          load_suspended = (fun _ -> None);
+          on_snapshot = ignore;
+        }
       ~sink
       ~report:(fun _ -> observe ())
       benches

@@ -415,14 +415,15 @@ module Phases = Tpdbt_profiles.Phases
 
 let checkpoint_series src ~every =
   let p = Assembler.assemble_exn src in
-  let engine = Engine.create ~config:Engine.profiling_only ~seed:11L p in
-  let acc = ref [] in
-  let result =
-    Engine.run ~checkpoint_every:every
-      ~on_checkpoint:(fun ~steps snapshot -> acc := (steps, snapshot) :: !acc)
-      engine
+  let config = { Engine.profiling_only with Engine.snapshot_every = every } in
+  let engine = Engine.create ~config ~seed:11L p in
+  let rec go acc =
+    let result = Engine.run engine in
+    if Engine.suspended result then
+      go ((result.Engine.steps, result.Engine.snapshot) :: acc)
+    else (result, List.rev acc)
   in
-  (result, List.rev !acc)
+  go []
 
 let test_checkpoints_emitted () =
   let result, series = checkpoint_series stable_branch_src ~every:20_000 in

@@ -34,6 +34,8 @@ let mini ?(iters = 3000) name =
 
 let mini_thresholds = [ ("100", 1); ("1k", 10) ]
 
+let store dir = Checkpoint.store ~thresholds:mini_thresholds ~dir ()
+
 let mini_benches () =
   [
     mini "rob-a";
@@ -139,7 +141,8 @@ let test_corruption_classified () =
   with_temp_dir (fun dir ->
       let seed_store () =
         let _ =
-          Checkpoint.run_many ~thresholds:mini_thresholds ~dir [ bench ]
+          Runner.run_many_par ~thresholds:mini_thresholds ~jobs:1
+            ~store:(store dir) [ bench ]
         in
         Checkpoint.path ~dir bench
       in
@@ -204,13 +207,14 @@ let test_damaged_store_repaired_across_jobs () =
      sweep byte-identical to an undisturbed one — at every job count. *)
   let benches = mini_benches () in
   let reference =
-    Runner.run_many ~thresholds:mini_thresholds benches
+    Runner.run_many_par ~thresholds:mini_thresholds ~jobs:1 benches
   in
   List.iter
     (fun jobs ->
       with_temp_dir (fun dir ->
           let _ =
-            Checkpoint.run_many ~thresholds:mini_thresholds ~dir benches
+            Runner.run_many_par ~thresholds:mini_thresholds ~jobs:1
+              ~store:(store dir) benches
           in
           apply_damage Bitflip (Checkpoint.path ~dir (List.nth benches 1));
           apply_damage Truncate (Checkpoint.path ~dir (List.nth benches 3));
@@ -219,8 +223,8 @@ let test_damaged_store_repaired_across_jobs () =
             statuses := (n, Runner.status_name s) :: !statuses
           in
           let sweep, supervision =
-            Checkpoint.run_many_supervised ~thresholds:mini_thresholds ~jobs
-              ~progress ~dir benches
+            Runner.run_many_supervised ~thresholds:mini_thresholds ~jobs
+              ~progress ~store:(store dir) benches
           in
           checks
             (Printf.sprintf "corrupt entries found at -j %d" jobs)
@@ -266,7 +270,8 @@ let test_save_durable_rename () =
   with_temp_dir (fun dir ->
       let bench = mini "rob-durable" in
       let sweep =
-        Checkpoint.run_many ~thresholds:mini_thresholds ~dir [ bench ]
+        Runner.run_many_par ~thresholds:mini_thresholds ~jobs:1
+          ~store:(store dir) [ bench ]
       in
       let data = List.hd sweep.Runner.data in
       let file = Checkpoint.path ~dir bench in
@@ -294,10 +299,15 @@ let test_degraded_pool_resumes_checkpoints () =
      converge byte-identically: resumed data untouched, crashed tasks
      retried to completion, nothing poisoned. *)
   let benches = mini_benches () in
-  let reference = Runner.run_many ~thresholds:mini_thresholds benches in
+  let reference =
+    Runner.run_many_par ~thresholds:mini_thresholds ~jobs:1 benches
+  in
   with_temp_dir (fun dir ->
       let seeded = List.filteri (fun i _ -> i < 2) benches in
-      let _ = Checkpoint.run_many ~thresholds:mini_thresholds ~dir seeded in
+      let _ =
+        Runner.run_many_par ~thresholds:mini_thresholds ~jobs:1
+          ~store:(store dir) seeded
+      in
       let resumed = ref 0 in
       let progress _ = function
         | Runner.Resumed -> incr resumed
@@ -311,8 +321,8 @@ let test_degraded_pool_resumes_checkpoints () =
         else Runner.run_benchmark_result ~thresholds:mini_thresholds spec
       in
       let sweep, supervision =
-        Checkpoint.run_many_supervised ~thresholds:mini_thresholds ~jobs:2
-          ~progress ~run_task ~dir benches
+        Runner.run_many_supervised ~thresholds:mini_thresholds ~jobs:2
+          ~progress ~run_task ~store:(store dir) benches
       in
       let sup = supervision.Runner.sup in
       checki "two benchmarks resumed" 2 !resumed;
@@ -337,7 +347,9 @@ let test_degraded_pool_resumes_checkpoints () =
 
 let test_supervised_matches_plain_sweep () =
   let benches = mini_benches () in
-  let reference = Runner.run_many ~thresholds:mini_thresholds benches in
+  let reference =
+    Runner.run_many_par ~thresholds:mini_thresholds ~jobs:1 benches
+  in
   List.iter
     (fun jobs ->
       let sweep, supervision =

@@ -277,12 +277,15 @@ let test_div_by_zero () =
 let test_trap_sticky () =
   let p = Assembler.assemble_exn "ret\nhalt" in
   let m = Machine.create ~seed:1L p in
-  (match Machine.step m with
-  | Error (Machine.Return_without_call _) -> ()
-  | _ -> Alcotest.fail "expected trap");
-  match Machine.step m with
-  | Error (Machine.Return_without_call _) -> ()
-  | _ -> Alcotest.fail "trap should persist"
+  let trapped () =
+    Machine.step_code m > Machine.ev_halted
+    &&
+    match Machine.last_trap m with
+    | Some (Machine.Return_without_call _) -> true
+    | _ -> false
+  in
+  checkb "expected trap" true (trapped ());
+  checkb "trap should persist" true (trapped ())
 
 (* ------------------------------------------------------------------ *)
 (* Events, outputs, rnd, limits                                         *)
@@ -304,15 +307,24 @@ fn:
     ret
 |}
   in
+  (* The hot path's int codes and the reference decoder's events, in
+     lockstep on two machines. *)
   let m = Machine.create ~seed:1L p in
-  let step () = match Machine.step m with Ok e -> e | Error _ -> Alcotest.fail "trap" in
-  checkb "stepped" true (step () = Machine.Stepped);
-  checkb "branch not taken" true (step () = Machine.Branched { taken = false });
-  checkb "jumped" true (step () = Machine.Jumped);
-  checkb "called" true (step () = Machine.Called);
-  checkb "returned" true (step () = Machine.Returned);
-  checkb "halted" true (step () = Machine.Halted);
-  checkb "halted flag" true (Machine.halted m)
+  let spec = Machine.create ~seed:1L p in
+  let step name code_ok event =
+    checkb (name ^ " code") true (code_ok (Machine.step_code m));
+    checkb name true (Machine.step_spec spec = Ok event)
+  in
+  let is code c = c = code in
+  let flowed c = c > Machine.ev_branch_taken && c < Machine.ev_returned in
+  step "stepped" (is Machine.ev_stepped) Machine.Stepped;
+  step "branch not taken" (is Machine.ev_branch_not_taken)
+    (Machine.Branched { taken = false });
+  step "jumped" flowed Machine.Jumped;
+  step "called" flowed Machine.Called;
+  step "returned" (is Machine.ev_returned) Machine.Returned;
+  step "halted" (is Machine.ev_halted) Machine.Halted;
+  checkb "halted flag" true (Machine.halted m && Machine.halted spec)
 
 let test_outputs_order () =
   let m = run_src "movi r1, 1\nout r1\nmovi r1, 2\nout r1\nmovi r1, 3\nout r1\nhalt" in
