@@ -490,8 +490,7 @@ let sweep_cmd =
       & info [ "supervise" ]
           ~doc:
             "Run the sweep under the supervisor: per-task deadlines, bounded \
-             retry with deterministic backoff, circuit breakers and graceful \
-             degradation when worker domains die.  Failing benchmarks are \
+             retry and circuit breakers.  Failing benchmarks are \
              quarantined instead of just skipped.")
   in
   let deadline =
@@ -585,11 +584,10 @@ let sweep_cmd =
           if jobs > 1 || s.Sup.retries > 0 || s.Sup.poisoned > 0 then
             Printf.eprintf
               "supervised: %d tasks, %d attempts, %d retries, %d poisoned, \
-               %d crashes%s\n\
+               %d crashes\n\
                %!"
               s.Sup.tasks s.Sup.attempts s.Sup.retries s.Sup.poisoned
               s.Sup.crashes
-              (if s.Sup.degraded then " (pool degraded)" else "")
         in
         let sweep, supervision =
           Runner.run_many_supervised ?max_steps ?deadline ~snapshot_every
@@ -661,9 +659,9 @@ let sweep_cmd =
           ($(b,--jobs)); output is byte-identical at every job count.  \
           Benchmarks that fail with a typed error are reported and skipped; \
           the rest of the sweep still runs.  With $(b,--supervise), failing \
-          benchmarks are retried with deterministic backoff and quarantined \
-          by a circuit breaker, and worker-domain crashes degrade the pool \
-          instead of killing the sweep.  With $(b,--checkpoint) and \
+          benchmarks are retried and quarantined by a circuit breaker, and a \
+          crashed attempt is re-run instead of killing the sweep.  With \
+          $(b,--checkpoint) and \
           $(b,--snapshot-every), benchmarks snapshot mid-run and a killed \
           sweep restarted with $(b,--resume-run) continues each from its \
           exact guest instruction.")

@@ -264,14 +264,10 @@ let run_cache_sweep ?(jobs = 1) ?(threshold = 20)
     in
     { policy; frac; capacity; bounded = run_ref bench ~config }
   in
-  let points =
-    if jobs <= 1 then List.map point combos
-    else
-      let results, _ =
-        Tpdbt_parallel.Pool.map ~jobs point (Array.of_list combos)
-      in
-      Array.to_list results
+  let points, _ =
+    Tpdbt_parallel.Pool.map ~jobs point (Array.of_list combos)
   in
+  let points = Array.to_list points in
   { cache_bench = bench; cache_threshold = threshold; baseline; footprint; points }
 
 type status =
@@ -343,38 +339,6 @@ let on_snapshot store = Option.map (fun s -> s.on_snapshot) store
 let load_suspended store bench =
   Option.bind store (fun s -> s.load_suspended bench)
 let save store d = Option.iter (fun s -> s.save d) store
-
-(* Sequential reference path: the [jobs <= 1] case of [run_many_par],
-   which must produce the same merged sweep (and, via [save], the same
-   checkpoint bytes) for every job count. *)
-let run_sequential ?thresholds ?max_steps ?deadline ?snapshot_every
-    ?suspend_on_deadline ?store ~progress ~lookup benches =
-  let data = ref [] and failures = ref [] in
-  List.iter
-    (fun bench ->
-      let name = bench.Spec.name in
-      match lookup bench with
-      | Some d ->
-          progress name Resumed;
-          data := d :: !data
-      | None -> (
-          progress name Started;
-          match
-            run_benchmark_result ?thresholds ?max_steps ?deadline
-              ?snapshot_every ?suspend_on_deadline
-              ?on_snapshot:(on_snapshot store)
-              ?resume:(load_suspended store bench) bench
-          with
-          | Ok d ->
-              save store d;
-              progress name Finished;
-              data := d :: !data
-          | Error e ->
-              progress name
-                (match e with Error.Suspended _ -> Suspended | _ -> Failed e);
-              failures := { failed = bench; error = e } :: !failures))
-    benches;
-  { data = List.rev !data; failures = List.rev !failures }
 
 (* Resume scan up front, on the collector domain: store reads never race
    the workers, and a resumed benchmark never becomes a task at all.
@@ -473,54 +437,47 @@ let record_parallel_stats metrics (stats : Pool.stats) =
 let run_many_par ?thresholds ?max_steps ?deadline ?snapshot_every
     ?suspend_on_deadline ?store ?jobs ?(progress = fun _ _ -> ()) ?sink
     ?metrics ?report benches =
-  let jobs =
-    match jobs with Some j -> max 1 j | None -> Pool.default_jobs ()
+  let entries, pending =
+    scan ~progress ~lookup:(lookup ?store ?sink ?metrics ()) benches
   in
-  let lookup = lookup ?store ?sink ?metrics () in
-  if jobs <= 1 then
-    run_sequential ?thresholds ?max_steps ?deadline ?snapshot_every
-      ?suspend_on_deadline ?store ~progress ~lookup benches
-  else begin
-    let entries, pending = scan ~progress ~lookup benches in
-    (* Suspended mid-run state is scanned up front too — a worker then
-       continues the engine instead of restarting it. *)
-    let pending = Array.map (fun b -> (b, load_suspended store b)) pending in
-    let name task = (fst pending.(task)).Spec.name in
-    let on_event =
-      let forward =
-        match sink with None -> fun _ -> () | Some s -> worker_sink_events s
-      in
-      fun (e : Pool.event) ->
-        forward e;
-        match e with
-        | Pool.Start { task; _ } -> progress (name task) Started
-        | Pool.Steal _ | Pool.Finish _ -> ()
+  (* Suspended mid-run state is scanned up front too — a worker then
+     continues the engine instead of restarting it. *)
+  let pending = Array.map (fun b -> (b, load_suspended store b)) pending in
+  let name task = (fst pending.(task)).Spec.name in
+  let on_event =
+    let forward =
+      match sink with None -> fun _ -> () | Some s -> worker_sink_events s
     in
-    (* Completion arrival order is nondeterministic, but every
-       checkpoint [save] happens here, on the collector domain, and
-       each file's bytes depend only on its own task's result.
-       (Mid-run snapshots are the exception: [on_snapshot] runs on the
-       worker, but each benchmark's file has that worker as its only
-       writer until the task completes.) *)
-    let on_result task = function
-      | Ok d ->
-          save store d;
-          progress (name task) Finished
-      | Error (Error.Suspended _) -> progress (name task) Suspended
-      | Error e -> progress (name task) (Failed e)
-    in
-    let results, stats =
-      Pool.map ~jobs ~on_event ~on_result
-        (fun (bench, resume) ->
-          run_benchmark_result ?thresholds ?max_steps ?deadline
-            ?snapshot_every ?suspend_on_deadline
-            ?on_snapshot:(on_snapshot store) ?resume bench)
-        pending
-    in
-    Option.iter (fun m -> record_parallel_stats m stats) metrics;
-    Option.iter (fun f -> f stats) report;
-    merge entries ~outcome:(fun task _ -> results.(task))
-  end
+    fun (e : Pool.event) ->
+      forward e;
+      match e with
+      | Pool.Start { task; _ } -> progress (name task) Started
+      | Pool.Steal _ | Pool.Finish _ -> ()
+  in
+  (* Completion arrival order is nondeterministic, but every
+     checkpoint [save] happens here, on the collector domain, and
+     each file's bytes depend only on its own task's result.
+     (Mid-run snapshots are the exception: [on_snapshot] runs on the
+     worker, but each benchmark's file has that worker as its only
+     writer until the task completes.) *)
+  let on_result task = function
+    | Ok d ->
+        save store d;
+        progress (name task) Finished
+    | Error (Error.Suspended _) -> progress (name task) Suspended
+    | Error e -> progress (name task) (Failed e)
+  in
+  let results, stats =
+    Pool.map ?jobs ~on_event ~on_result
+      (fun (bench, resume) ->
+        run_benchmark_result ?thresholds ?max_steps ?deadline
+          ?snapshot_every ?suspend_on_deadline
+          ?on_snapshot:(on_snapshot store) ?resume bench)
+      pending
+  in
+  Option.iter (fun m -> record_parallel_stats m stats) metrics;
+  Option.iter (fun f -> f stats) report;
+  merge entries ~outcome:(fun task _ -> results.(task))
 
 (* ---- supervised sweeps ------------------------------------------------ *)
 
@@ -631,9 +588,9 @@ let run_many_supervised ?thresholds ?max_steps ?deadline ?snapshot_every
     | Sup.Task_done { task; seconds; _ } ->
         span_end ~seconds task;
         observe_latency seconds
-    | Sup.Retry { task; attempt; backoff; reason } ->
+    | Sup.Retry { task; attempt; reason } ->
         span_end task;
-        emit (Tel.Event.Supervisor_retry { task; attempt; backoff; reason })
+        emit (Tel.Event.Supervisor_retry { task; attempt; reason })
     | Sup.Gave_up { task; attempts; reason } ->
         span_end task;
         emit (Tel.Event.Supervisor_give_up { task; attempts; reason });
@@ -645,7 +602,6 @@ let run_many_supervised ?thresholds ?max_steps ?deadline ?snapshot_every
     | Sup.Worker_lost { worker; task } ->
         span_end task;
         emit (Tel.Event.Worker_lost { worker; task })
-    | Sup.Degraded { live } -> emit (Tel.Event.Pool_degraded { live })
   in
   let failed task = function
     | Ok _ -> None

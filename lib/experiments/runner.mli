@@ -219,9 +219,12 @@ val run_many_par :
     [suspend_on_deadline]) pass through to {!run_benchmark_result}.
 
     [jobs] worker domains of a {!Tpdbt_parallel.Pool} run the
-    benchmarks (default {!Tpdbt_parallel.Pool.default_jobs}).
-    [jobs <= 1] runs them in order on the calling domain, spawning
-    nothing, with no worker events and no [report].
+    benchmarks (default {!Tpdbt_parallel.Pool.default_jobs}).  Every
+    job count takes the same path: the resume scan, one
+    {!Tpdbt_parallel.Pool.map} over the benchmarks left to run, and
+    the merge.  At [jobs <= 1] the pool runs them in input order on
+    the calling domain and spawns nothing; worker events (worker 0, no
+    steals) and [report] still fire.
 
     The merged {!sweep} is {e identical} for every job count: each
     benchmark is an isolated engine computation with per-spec fixed
@@ -231,13 +234,13 @@ val run_many_par :
 
     Single-writer invariant: [progress], the store's [load] and
     [save], [sink], [metrics] and [report] all run on the {e calling}
-    domain (the collector).  At [jobs > 1] the store is consulted for
-    every benchmark before any worker starts (resumed benchmarks never
-    become tasks); each [save] fires as its benchmark's result
-    arrives, so a sweep killed mid-flight resumes exactly like a
-    sequential one.  A damaged store entry ([load] returns [Error]) is
-    re-run, emitted as a [checkpoint.corrupt] event on [sink] and
-    counted in the [checkpoint.corrupt] metric.
+    domain (the collector).  The store is consulted for every
+    benchmark before any task starts (resumed benchmarks never become
+    tasks); each [save] fires as its benchmark's result arrives, so a
+    sweep killed mid-flight resumes the same way at every job count.
+    A damaged store entry ([load] returns [Error]) is re-run, emitted
+    as a [checkpoint.corrupt] event on [sink] and counted in the
+    [checkpoint.corrupt] metric.
 
     [sink] receives [worker.start] / [worker.steal] / [worker.finish]
     events stamped with a scheduler sequence number; [metrics] gains
@@ -282,9 +285,9 @@ val run_many_supervised :
   Tpdbt_workloads.Spec.t list ->
   sweep * supervision
 (** {!run_many_par} under {!Tpdbt_parallel.Supervisor}: per-task
-    deadlines (pass [deadline]), bounded retry with deterministic
-    backoff, circuit breakers, and graceful pool degradation.  A
-    benchmark whose runs keep failing is {e quarantined} — reported as
+    deadlines (pass [deadline]), bounded retry in rounds on the same
+    pool, and circuit breakers.  A benchmark whose runs keep failing
+    is {e quarantined} — reported as
     [Quarantined] progress, listed in [supervision.poisoned] and in
     the sweep's [failures] (with its last fatal typed error when one
     was produced) — instead of aborting anything.
@@ -293,9 +296,9 @@ val run_many_supervised :
     [poisoned], [crashes]) are identical at every job count; every
     callback runs on the calling domain.  [sink] additionally receives
     [supervisor.retry] / [supervisor.giveup] / [breaker.open] /
-    [worker.lost] / [pool.degraded] events (scheduler-sequence
-    stamped), and [metrics] gains [supervisor.*] counters plus the
-    [supervisor.task_seconds] latency histogram.
+    [worker.lost] events (scheduler-sequence stamped), and [metrics]
+    gains [supervisor.*] counters plus the [supervisor.task_seconds]
+    latency histogram.
 
     [run_task] replaces the benchmark execution itself (defaulting to
     {!run_benchmark_result}) with the task index and 1-based attempt

@@ -86,7 +86,7 @@ let receive_batch ch into =
 
 (* ---- workers ---------------------------------------------------------- *)
 
-let worker_loop ~jobs ~deques ~channel ~f ~tasks w =
+let worker_loop ~jobs ~deques ~channel ~stop ~f ~tasks w =
   let next () =
     match pop_front deques.(w) with
     | Some t -> Some (t, None)
@@ -102,7 +102,7 @@ let worker_loop ~jobs ~deques ~channel ~f ~tasks w =
         scan 1
   in
   let rec loop () =
-    match next () with
+    match if Atomic.get stop then None else next () with
     | None -> ()
     | Some (task, stolen_from) ->
         Option.iter
@@ -160,10 +160,11 @@ let map ?jobs ?(on_event = fun _ -> ()) ?(on_result = fun _ _ -> ()) f tasks =
       { ch_lock = Mutex.create (); ch_cond = Condition.create ();
         ch_q = Queue.create () }
     in
+    let stop = Atomic.make false in
     let domains =
       Array.init jobs (fun w ->
           Domain.spawn (fun () ->
-              worker_loop ~jobs ~deques ~channel ~f ~tasks w))
+              worker_loop ~jobs ~deques ~channel ~stop ~f ~tasks w))
     in
     let results = Array.make n None in
     let errors = ref [] in
@@ -171,28 +172,34 @@ let map ?jobs ?(on_event = fun _ -> ()) ?(on_result = fun _ _ -> ()) f tasks =
     let busy = ref 0.0 in
     let completed = ref 0 in
     let batch = Queue.create () in
-    while !completed < n do
-      receive_batch channel batch;
-      Queue.iter
-        (fun msg ->
-          match msg with
-          | Msg_steal { worker; victim; task } ->
-              incr steals;
-              on_event (Steal { worker; victim; task })
-          | Msg_start { worker; task } -> on_event (Start { worker; task })
-          | Msg_done { worker; task; result; seconds } -> (
-              incr completed;
-              busy := !busy +. seconds;
-              on_event (Finish { worker; task; seconds });
-              match result with
-              | Ok v ->
-                  results.(task) <- Some v;
-                  on_result task v
-              | Error e -> errors := (task, e) :: !errors))
-        batch;
-      Queue.clear batch
-    done;
-    Array.iter Domain.join domains;
+    Fun.protect
+      ~finally:(fun () ->
+        (* Also when a callback raises: hand out no further task and
+           wait for the ones in flight, so no worker outlives the call. *)
+        Atomic.set stop true;
+        Array.iter Domain.join domains)
+      (fun () ->
+        while !completed < n do
+          receive_batch channel batch;
+          Queue.iter
+            (fun msg ->
+              match msg with
+              | Msg_steal { worker; victim; task } ->
+                  incr steals;
+                  on_event (Steal { worker; victim; task })
+              | Msg_start { worker; task } -> on_event (Start { worker; task })
+              | Msg_done { worker; task; result; seconds } -> (
+                  incr completed;
+                  busy := !busy +. seconds;
+                  on_event (Finish { worker; task; seconds });
+                  match result with
+                  | Ok v ->
+                      results.(task) <- Some v;
+                      on_result task v
+                  | Error e -> errors := (task, e) :: !errors))
+            batch;
+          Queue.clear batch
+        done);
     (match List.sort compare !errors with
     | (_, e) :: _ -> raise e
     | [] -> ());

@@ -76,4 +76,9 @@ val map :
     If any task raises, the remaining tasks still run to completion,
     then the exception of the {e lowest-indexed} failing task is
     re-raised (deterministic, unlike first-in-time).  [on_result] is
-    not called for failed tasks. *)
+    not called for failed tasks.
+
+    If [on_event] or [on_result] raises, no further task starts: the
+    tasks already running finish, every worker domain is joined, and
+    then the callback's exception is re-raised.  No task runs after
+    [map] returns or raises. *)

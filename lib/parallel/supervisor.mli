@@ -1,39 +1,33 @@
-(** Fault-tolerant job supervision over a domain pool.
+(** Fault-tolerant job supervision on {!Pool.map}.
 
     {!Pool.map} computes an array map and dies with the first (lowest
     task index) exception; that is the right contract for trusted
     workloads, and the wrong one for long campaigns where a single
     stuck or crashing task should not cost hours of finished work.
-    [Supervisor.run] wraps the same worker-domain machinery in a job
-    system: every task is attempted, failures are retried on a
-    deterministic backoff schedule, persistently failing tasks are
-    quarantined as {!Poisoned} instead of aborting the sweep, and the
-    pool itself degrades gracefully when worker domains are lost.
+    [Supervisor.run] turns the same pool into a job system: every task
+    is attempted, failures are retried, and persistently failing tasks
+    are quarantined as {!Poisoned} instead of aborting the sweep.
 
     {2 Supervision model}
 
-    - {e Retry with backoff.}  A failed attempt (the task raised, or
-      the [failed] classifier rejected its value) is retried up to
-      [max_attempts] times.  The delay between attempts is exponential
-      with deterministic jitter, measured on a {e logical} clock — one
-      tick per completed attempt, fast-forwarded when the pool is idle
-      — so the schedule is seeded, reproducible, and costs no
-      wall-clock time.
+    - {e Rounds.}  The first round runs every task's first attempt in
+      one {!Pool.map} call.  The collector sorts each finished attempt
+      as done, re-attempt or poisoned; the re-attempts form the next
+      round, in task order.  Rounds repeat until every task is
+      resolved.  Each attempt is a pool task that never raises, so a
+      failure or a crash ends only that attempt, never its worker.
+    - {e Retry.}  A failed attempt (the task raised, or the [failed]
+      classifier rejected its value) is re-attempted next round, up to
+      [max_attempts] attempts in total.
     - {e Circuit breaker.}  After [breaker_after] consecutive failures
       the task's breaker opens and it is quarantined immediately,
       before its retry budget runs out.
-    - {e Worker loss.}  A task that raises {!Crash_worker} takes its
-      worker domain down with it (the deterministic stand-in for a
-      segfaulting or wedged domain).  The crash is caught, the attempt
-      is requeued — the dead worker, which no longer draws from the
-      queue, is automatically excluded — and a crash consumes an
-      attempt number (so a task that kills every worker it touches
-      still terminates as {!Poisoned}) but {e not} a breaker count:
-      losing a worker is the harness's fault, not the task's.
-    - {e Graceful degradation.}  When fewer than two live workers
-      remain, the pool stops pretending to be parallel: queued jobs
-      and all later retries run inline on the collector domain, and
-      the run completes sequentially rather than aborting.
+    - {e Worker loss.}  A task that raises {!Crash_worker} stands in
+      for a worker lost to the OS.  The crash is counted, and the
+      attempt is re-run next round.  A crash consumes an attempt
+      number (so a task that crashes on every attempt still terminates
+      as {!Poisoned}) but {e not} a breaker count: losing a worker is
+      the harness's fault, not the task's.
 
     {2 Determinism}
 
@@ -42,27 +36,24 @@
     depend only on what [f ~attempt] does for each [(task, attempt)]
     pair — never on scheduling — the outcome array and the
     [attempts]/[retries]/[poisoned]/[crashes] counts are identical at
-    every job count and across repeated runs with the same seed.  Only
-    [degraded], [busy] and [elapsed] (and callback arrival order) are
+    every job count and across repeated runs.  Only [busy] and
+    [elapsed] (and callback arrival order within a round) are
     scheduling-dependent. *)
 
 exception Crash_worker
-(** Raised {e by a task} to kill the worker domain executing it — the
-    test/chaos stand-in for a worker lost to the OS.  The supervisor
-    catches it at the worker boundary; it never escapes {!run}. *)
+(** Raised {e by a task} to simulate losing the worker executing it —
+    the test/chaos stand-in for a worker lost to the OS.  The
+    supervisor catches it around the attempt; it never escapes
+    {!run}. *)
 
 type policy = {
   max_attempts : int;  (** total attempts per task, including the first *)
   breaker_after : int;
       (** consecutive failures that open the task's circuit breaker *)
-  backoff_base : int;  (** first retry delay, in logical ticks *)
-  backoff_cap : int;  (** ceiling on the exponential delay *)
-  seed : int64;  (** seeds the deterministic backoff jitter *)
 }
 
 val default_policy : policy
-(** 4 attempts, breaker at 3 consecutive failures, backoff 1 tick
-    doubling to a cap of 8. *)
+(** 4 attempts, breaker at 3 consecutive failures. *)
 
 type 'b outcome =
   | Done of 'b
@@ -73,28 +64,24 @@ type 'b outcome =
 type event =
   | Attempt of { task : int; attempt : int }  (** execution began *)
   | Task_done of { task : int; attempt : int; seconds : float }
-  | Retry of { task : int; attempt : int; backoff : int; reason : string }
+  | Retry of { task : int; attempt : int; reason : string }
       (** the failed task will be re-attempted (as attempt [attempt])
-          after [backoff] logical ticks *)
+          in the next round *)
   | Gave_up of { task : int; attempts : int; reason : string }
       (** retry budget exhausted — the task is poisoned *)
   | Breaker_opened of { task : int; failures : int }
       (** circuit breaker tripped — the task is poisoned *)
   | Worker_lost of { worker : int; task : int }
-      (** [task]'s attempt crashed worker [worker]; the attempt is
-          requeued on the surviving workers *)
-  | Degraded of { live : int }
-      (** fewer than two live workers remain — execution continues
-          inline on the collector *)
+      (** [task]'s attempt on worker [worker] raised {!Crash_worker};
+          the attempt is re-run next round *)
 
 type stats = {
-  jobs : int;  (** worker domains initially spawned (1 if sequential) *)
+  jobs : int;  (** worker domains requested, clamped to the task count *)
   tasks : int;
   attempts : int;  (** executions started, over all tasks *)
   retries : int;  (** re-attempts scheduled after failures *)
   poisoned : int;  (** tasks quarantined *)
   crashes : int;  (** worker losses absorbed *)
-  degraded : bool;  (** did the pool fall back to inline execution? *)
   busy : float;  (** summed seconds inside attempts *)
   elapsed : float;  (** wall-clock seconds for the whole run *)
 }
@@ -120,6 +107,7 @@ val run :
 
     [on_event] and [on_result] run on the calling domain only;
     [on_result task v] fires once per [Done] task as it resolves.
-    [jobs] defaults to {!Pool.default_jobs}[ ()], clamped to the task
-    count; [jobs <= 1] runs inline with no domains spawned, through
-    the identical supervision state machine. *)
+    [jobs] defaults to {!Pool.default_jobs}[ ()] and is passed to
+    every round's {!Pool.map}, which runs inline on the calling domain
+    at [jobs <= 1].  If a callback raises, the round's workers are
+    joined and the exception propagates. *)

@@ -31,16 +31,10 @@ type t =
   | Worker_start of { worker : int; task : int }
   | Worker_steal of { worker : int; victim : int; task : int }
   | Worker_finish of { worker : int; task : int }
-  | Supervisor_retry of {
-      task : int;
-      attempt : int;
-      backoff : int;
-      reason : string;
-    }
+  | Supervisor_retry of { task : int; attempt : int; reason : string }
   | Supervisor_give_up of { task : int; attempts : int; reason : string }
   | Breaker_open of { task : int; failures : int }
   | Worker_lost of { worker : int; task : int }
-  | Pool_degraded of { live : int }
   | Checkpoint_corrupt of { bench : string; reason : string }
   | Span_begin of { span : string }
   | Span_end of {
@@ -83,7 +77,6 @@ let kind_name = function
   | Supervisor_give_up _ -> "supervisor.giveup"
   | Breaker_open _ -> "breaker.open"
   | Worker_lost _ -> "worker.lost"
-  | Pool_degraded _ -> "pool.degraded"
   | Checkpoint_corrupt _ -> "checkpoint.corrupt"
   | Span_begin _ -> "span.begin"
   | Span_end _ -> "span.end"
@@ -170,11 +163,10 @@ let payload = function
       ]
   | Worker_finish { worker; task } ->
       [ ("worker", string_of_int worker); ("task", string_of_int task) ]
-  | Supervisor_retry { task; attempt; backoff; reason } ->
+  | Supervisor_retry { task; attempt; reason } ->
       [
         ("task", string_of_int task);
         ("attempt", string_of_int attempt);
-        ("backoff", string_of_int backoff);
         ("reason", Json.quote reason);
       ]
   | Supervisor_give_up { task; attempts; reason } ->
@@ -187,7 +179,6 @@ let payload = function
       [ ("task", string_of_int task); ("failures", string_of_int failures) ]
   | Worker_lost { worker; task } ->
       [ ("worker", string_of_int worker); ("task", string_of_int task) ]
-  | Pool_degraded { live } -> [ ("live", string_of_int live) ]
   | Checkpoint_corrupt { bench; reason } ->
       [ ("bench", Json.quote bench); ("reason", Json.quote reason) ]
   | Span_begin { span } -> [ ("span", Json.quote span) ]

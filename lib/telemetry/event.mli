@@ -72,14 +72,9 @@ type t =
           [victim]'s deque *)
   | Worker_finish of { worker : int; task : int }
       (** the task completed (its result reached the collector) *)
-  | Supervisor_retry of {
-      task : int;
-      attempt : int;
-      backoff : int;
-      reason : string;
-    }
+  | Supervisor_retry of { task : int; attempt : int; reason : string }
       (** a supervised task failed and will be re-attempted (as attempt
-          [attempt]) after [backoff] logical ticks *)
+          [attempt]) in the supervisor's next round *)
   | Supervisor_give_up of { task : int; attempts : int; reason : string }
       (** the retry budget ran out — the task is quarantined *)
   | Breaker_open of { task : int; failures : int }
@@ -87,11 +82,8 @@ type t =
           consecutive failures — quarantined without burning the rest
           of its retry budget *)
   | Worker_lost of { worker : int; task : int }
-      (** a worker domain died running [task]; the attempt was requeued
-          on the survivors *)
-  | Pool_degraded of { live : int }
-      (** fewer than two live workers remain — the sweep continues
-          inline on the collector *)
+      (** [task]'s attempt on worker [worker] was lost; the attempt
+          re-runs in the supervisor's next round *)
   | Checkpoint_corrupt of { bench : string; reason : string }
       (** a checkpoint file exists but failed validation (CRC, length,
           version, structure); the benchmark re-runs *)
@@ -132,7 +124,7 @@ val kind_name : t -> string
     with a scheduler sequence number, not the guest clock — the
     scheduler runs outside any engine).  The supervision layer adds
     ["supervisor.retry"], ["supervisor.giveup"], ["breaker.open"],
-    ["worker.lost"], ["pool.degraded"] and ["checkpoint.corrupt"],
+    ["worker.lost"] and ["checkpoint.corrupt"],
     stamped the same way.  The profiling layer adds ["span.begin"],
     ["span.end"], ["stage.cost"] and ["region.cost"]. *)
 

@@ -168,39 +168,6 @@ let test_corruption_classified () =
         (class_name
            (Checkpoint.classify ~thresholds:mini_thresholds ~dir bench)))
 
-let test_data_of_string_rejects () =
-  let bench = mini "rob-reject" in
-  let data =
-    match Runner.run_benchmark_result ~thresholds:mini_thresholds bench with
-    | Ok d -> d
-    | Error e -> Alcotest.fail (Error.to_string e)
-  in
-  let text = Checkpoint.data_to_string data in
-  let classify s =
-    class_name (Checkpoint.data_of_string ~thresholds:mini_thresholds bench s)
-  in
-  checks "round trip" "valid" (classify text);
-  checks "empty string" "corrupt" (classify "");
-  checks "whitespace only" "corrupt" (classify " \n \n");
-  checks "trailing garbage" "corrupt" (classify (text ^ "junk\n"));
-  checks "truncated" "corrupt"
-    (classify (String.sub text 0 (String.length text / 2)));
-  checks "older version" "stale"
-    (classify "TPDBT-CKPT 2\nbench rob-reject\n");
-  checks "foreign text" "corrupt" (classify "not a checkpoint at all\n");
-  (* The corrupt constructor carries a diagnosable reason. *)
-  (match Checkpoint.data_of_string ~thresholds:mini_thresholds bench "" with
-  | Checkpoint.Corrupt reason -> checks "empty reason" "empty file" reason
-  | _ -> Alcotest.fail "empty input not corrupt");
-  match
-    Checkpoint.data_of_string ~thresholds:mini_thresholds bench (text ^ "x")
-  with
-  | Checkpoint.Corrupt reason ->
-      checkb "trailing reason mentions garbage" true
-        (String.length reason > 0
-        && String.sub reason 0 (min 8 (String.length reason)) = "trailing")
-  | _ -> Alcotest.fail "trailing input not corrupt"
-
 let test_damaged_store_repaired_across_jobs () =
   (* Four checkpoints, two damaged: the supervised resume must classify
      the damage, re-run exactly the damaged benchmarks, and leave the
@@ -288,16 +255,15 @@ let test_save_durable_rename () =
            (Sys.readdir dir)))
 
 (* ------------------------------------------------------------------ *)
-(* Degraded pool composed with checkpoint resume                        *)
+(* Worker crashes composed with checkpoint resume                       *)
 (* ------------------------------------------------------------------ *)
 
-let test_degraded_pool_resumes_checkpoints () =
+let test_crashes_resume_checkpoints () =
   (* Two failure layers at once: half the store already has
      checkpoints (resume), and every fresh benchmark crashes its
-     worker on first attempt — a 2-worker pool drops below 2 live
-     workers and degrades to inline execution.  The sweep must still
-     converge byte-identically: resumed data untouched, crashed tasks
-     retried to completion, nothing poisoned. *)
+     worker on first attempt.  The sweep must still converge
+     byte-identically: resumed data untouched, crashed tasks retried
+     to completion, nothing poisoned. *)
   let benches = mini_benches () in
   let reference =
     Runner.run_many_par ~thresholds:mini_thresholds ~jobs:1 benches
@@ -327,15 +293,14 @@ let test_degraded_pool_resumes_checkpoints () =
       let sup = supervision.Runner.sup in
       checki "two benchmarks resumed" 2 !resumed;
       checki "every fresh task crashed a worker" fresh sup.Sup.crashes;
-      checkb "pool degraded below two live workers" true sup.Sup.degraded;
       checki "crashes retried, nothing poisoned" 0
         (List.length supervision.Runner.poisoned);
-      checks "degraded+resumed sweep byte-identical"
+      checks "crashed+resumed sweep byte-identical"
         (serialize_sweep reference) (serialize_sweep sweep);
       List.iter
         (fun b ->
           checks
-            (b.Spec.name ^ " checkpoint valid after degraded run")
+            (b.Spec.name ^ " checkpoint valid after crashed run")
             "valid"
             (class_name
                (Checkpoint.classify ~thresholds:mini_thresholds ~dir b)))
@@ -425,14 +390,12 @@ let suite =
     Alcotest.test_case "deadline exceeded" `Quick test_deadline_exceeded;
     Alcotest.test_case "corruption classified" `Quick
       test_corruption_classified;
-    Alcotest.test_case "data_of_string rejects damage" `Quick
-      test_data_of_string_rejects;
     Alcotest.test_case "damaged store repaired across jobs" `Quick
       test_damaged_store_repaired_across_jobs;
     Alcotest.test_case "save survives durable re-publication" `Quick
       test_save_durable_rename;
-    Alcotest.test_case "degraded pool composed with resume" `Quick
-      test_degraded_pool_resumes_checkpoints;
+    Alcotest.test_case "worker crashes composed with resume" `Quick
+      test_crashes_resume_checkpoints;
     Alcotest.test_case "supervised matches plain sweep" `Quick
       test_supervised_matches_plain_sweep;
     Alcotest.test_case "chaos deterministic across jobs" `Quick

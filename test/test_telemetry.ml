@@ -138,7 +138,7 @@ let test_event_ordering () =
           checkb "region cost totals sane" true (cycles >= 0.0 && instrs >= 0)
       | Event.Worker_start _ | Event.Worker_steal _ | Event.Worker_finish _
       | Event.Supervisor_retry _ | Event.Supervisor_give_up _
-      | Event.Breaker_open _ | Event.Worker_lost _ | Event.Pool_degraded _
+      | Event.Breaker_open _ | Event.Worker_lost _
       | Event.Checkpoint_corrupt _ ->
           checkb "no scheduler events from a single engine run" true false)
     events;
