@@ -168,6 +168,39 @@ let test_corruption_classified () =
         (class_name
            (Checkpoint.classify ~thresholds:mini_thresholds ~dir bench)))
 
+let test_data_of_string_rejects () =
+  let bench = mini "rob-reject" in
+  let data =
+    match Runner.run_benchmark_result ~thresholds:mini_thresholds bench with
+    | Ok d -> d
+    | Error e -> Alcotest.fail (Error.to_string e)
+  in
+  let text = Checkpoint.data_to_string data in
+  let classify s =
+    class_name (Checkpoint.data_of_string ~thresholds:mini_thresholds bench s)
+  in
+  checks "round trip" "valid" (classify text);
+  checks "empty string" "corrupt" (classify "");
+  checks "whitespace only" "corrupt" (classify " \n \n");
+  checks "trailing garbage" "corrupt" (classify (text ^ "junk\n"));
+  checks "truncated" "corrupt"
+    (classify (String.sub text 0 (String.length text / 2)));
+  checks "older version" "stale"
+    (classify "TPDBT-CKPT 2\nbench rob-reject\n");
+  checks "foreign text" "corrupt" (classify "not a checkpoint at all\n");
+  (* The corrupt constructor carries a diagnosable reason. *)
+  (match Checkpoint.data_of_string ~thresholds:mini_thresholds bench "" with
+  | Checkpoint.Corrupt reason -> checks "empty reason" "empty file" reason
+  | _ -> Alcotest.fail "empty input not corrupt");
+  match
+    Checkpoint.data_of_string ~thresholds:mini_thresholds bench (text ^ "x")
+  with
+  | Checkpoint.Corrupt reason ->
+      checkb "trailing reason mentions garbage" true
+        (String.length reason > 0
+        && String.sub reason 0 (min 8 (String.length reason)) = "trailing")
+  | _ -> Alcotest.fail "trailing input not corrupt"
+
 let test_damaged_store_repaired_across_jobs () =
   (* Four checkpoints, two damaged: the supervised resume must classify
      the damage, re-run exactly the damaged benchmarks, and leave the
@@ -390,6 +423,8 @@ let suite =
     Alcotest.test_case "deadline exceeded" `Quick test_deadline_exceeded;
     Alcotest.test_case "corruption classified" `Quick
       test_corruption_classified;
+    Alcotest.test_case "data_of_string rejects damage" `Quick
+      test_data_of_string_rejects;
     Alcotest.test_case "damaged store repaired across jobs" `Quick
       test_damaged_store_repaired_across_jobs;
     Alcotest.test_case "save survives durable re-publication" `Quick

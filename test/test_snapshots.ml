@@ -1,8 +1,8 @@
 (* Mid-run snapshot/suspend/resume: the engine's capture/restore
-   byte-identity, the v4 suspended-checkpoint store (the codec's own
-   corruption matrix is in test_durable.ml), the journal's snapshot
-   breadcrumbs and damaged-header recovery, and the request client's
-   deterministic backoff schedule. *)
+   byte-identity, the serialized snapshot's corruption matrix, the v4
+   suspended-checkpoint store's corruption matrix, the journal's
+   snapshot breadcrumbs and damaged-header recovery, and the request
+   client's deterministic backoff schedule. *)
 
 module Engine = Tpdbt_dbt.Engine
 module Snap = Tpdbt_dbt.Exec_snapshot
@@ -162,7 +162,54 @@ let test_restore_refuses_mismatch () =
     (Result.is_error (Snap.restore ~config ~program:other_program parsed))
 
 (* ------------------------------------------------------------------ *)
-(* v4 suspended-checkpoint store                                        *)
+(* Snapshot text corruption matrix                                      *)
+(* ------------------------------------------------------------------ *)
+
+let snapshot_text () =
+  let sus_config =
+    { config with Engine.deadline = Some 2_000; suspend_on_deadline = true }
+  in
+  let eng = Engine.create ~config:sus_config ~seed program in
+  ignore (Engine.run eng);
+  Snap.to_string ~config:sus_config ~program (Engine.capture eng)
+
+let corrupt_of = function
+  | Snap.Corrupt _ -> true
+  | Snap.Snapshot _ | Snap.Stale_version _ -> false
+
+let test_snapshot_text_corruption_matrix () =
+  let text = snapshot_text () in
+  (match Snap.of_string text with
+  | Snap.Snapshot parsed ->
+      let i = Snap.info parsed in
+      checkb "info reports the suspension point" true (i.Snap.steps > 0);
+      checkb "not halted mid-run" false i.Snap.halted
+  | _ -> Alcotest.fail "intact snapshot rejected");
+  checkb "zero-length is corrupt" true (corrupt_of (Snap.of_string ""));
+  checkb "truncated is corrupt" true
+    (corrupt_of
+       (Snap.of_string (String.sub text 0 (String.length text * 2 / 3))));
+  let flipped =
+    let b = Bytes.of_string text in
+    let i = (Bytes.length b * 3 / 4) + 1 in
+    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x08));
+    Bytes.to_string b
+  in
+  checkb "bit flip is corrupt" true (corrupt_of (Snap.of_string flipped));
+  checkb "trailing garbage is corrupt" true
+    (corrupt_of (Snap.of_string (text ^ "tail")));
+  let stale =
+    "TPDBT-SNAP 0"
+    ^ String.sub text (String.length "TPDBT-SNAP 1")
+        (String.length text - String.length "TPDBT-SNAP 1")
+  in
+  checkb "older version is stale, not corrupt" true
+    (match Snap.of_string stale with
+    | Snap.Stale_version _ -> true
+    | Snap.Snapshot _ | Snap.Corrupt _ -> false)
+
+(* ------------------------------------------------------------------ *)
+(* v4 suspended-checkpoint corruption matrix                            *)
 (* ------------------------------------------------------------------ *)
 
 let mini =
@@ -233,6 +280,8 @@ let test_suspended_store_corruption_matrix () =
           (Option.is_none
              (Checkpoint.load_suspended ~thresholds:mini_thresholds ~dir mini))
       in
+      damage "zero-length" "" false;
+      damage "truncation" (String.sub text 0 (String.length text / 2)) false;
       let flipped =
         let b = Bytes.of_string text in
         let i = Bytes.length b * 2 / 3 in
@@ -240,6 +289,7 @@ let test_suspended_store_corruption_matrix () =
         Bytes.to_string b
       in
       damage "bit flip" flipped false;
+      damage "trailing garbage" (text ^ "x") false;
       let v3 =
         "TPDBT-CKPT 3"
         ^ String.sub text (String.length "TPDBT-CKPT 4")
@@ -367,6 +417,8 @@ let suite =
       test_serialized_resume_identity;
     Alcotest.test_case "restore refuses config/program mismatch" `Quick
       test_restore_refuses_mismatch;
+    Alcotest.test_case "snapshot text corruption matrix" `Quick
+      test_snapshot_text_corruption_matrix;
     Alcotest.test_case "suspended store corruption matrix" `Quick
       test_suspended_store_corruption_matrix;
     Alcotest.test_case "suspended resume byte identity" `Quick
