@@ -151,7 +151,15 @@ let of_blocks ~entry_block blocks =
       if b.size <> b.end_pc - b.start_pc + 1 || b.size <= 0 then
         fail "bad block extent";
       if i > 0 && b.start_pc <> arr.(i - 1).end_pc + 1 then
-        fail "blocks not contiguous in pc")
+        fail "blocks not contiguous in pc";
+      let in_range id = id >= 0 && id < n in
+      match b.terminator with
+      | Cond { taken = x; fallthrough = y }
+      | Call_to { callee = x; retsite = y } ->
+          if not (in_range x && in_range y) then fail "successor out of range"
+      | Goto x | Fallthrough x ->
+          if not (in_range x) then fail "successor out of range"
+      | Return | Stop -> ())
     arr;
   if n > 0 && arr.(0).start_pc <> 0 then fail "first block must start at 0";
   if entry_block < 0 || entry_block >= n then fail "entry block out of range";

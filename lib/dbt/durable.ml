@@ -91,21 +91,13 @@ let unseal ~magic text =
         else if stale_version ~magic line1 then Stale_version line1
         else Corrupt "unrecognised header")
 
-(* ---- reading payloads ------------------------------------------------ *)
+(* ---- payload lines ----------------------------------------------------- *)
 
 exception Malformed of string
 
 let malformed fmt = Printf.ksprintf (fun reason -> raise (Malformed reason)) fmt
 
-let int_exn s =
-  match int_of_string_opt s with
-  | Some v -> v
-  | None -> malformed "not an integer: %S" s
-
 type reader = { lines : string array; mutable pos : int }
-
-let reader payload =
-  { lines = Array.of_list (String.split_on_char '\n' payload); pos = 0 }
 
 let next r =
   if r.pos >= Array.length r.lines then malformed "payload ends mid-record"
@@ -113,24 +105,190 @@ let next r =
     r.pos <- r.pos + 1;
     r.lines.(r.pos - 1))
 
-let words r = String.split_on_char ' ' (next r)
+(* A cell is one or more words of a line.  [print] writes each word
+   after its separating space; [scan] takes words off the front of the
+   rest of the line and raises [Bad] on a missing or unreadable one,
+   which the enclosing line reports as "bad <tag> line". *)
+exception Bad
 
-let embedded r ~what n =
-  if n < 0 then malformed "negative %s length" what;
-  let buf = Buffer.create 4096 in
-  for _ = 1 to n do
-    Buffer.add_string buf (next r);
-    Buffer.add_char buf '\n'
-  done;
-  Buffer.contents buf
+type 'a cell = { print : Buffer.t -> 'a -> unit; scan : string list ref -> 'a }
 
-let finish r =
-  if next r <> "end" then malformed "expected %S" "end";
-  (* the payload always ends "end\n", so the final split element is one
-     empty string; anything more is garbage a broken writer appended
-     inside the measured payload *)
-  if not (r.pos = Array.length r.lines - 1 && r.lines.(r.pos) = "") then
-    malformed "trailing garbage after end marker"
+let word =
+  {
+    print =
+      (fun b w ->
+        Buffer.add_char b ' ';
+        Buffer.add_string b w);
+    scan =
+      (fun rest ->
+        match !rest with
+        | w :: tl ->
+            rest := tl;
+            w
+        | [] -> raise Bad);
+  }
+
+let conv enc dec c =
+  {
+    print = (fun b v -> c.print b (enc v));
+    scan =
+      (fun rest ->
+        match dec (c.scan rest) with Some v -> v | None -> raise Bad);
+  }
+
+let int = conv string_of_int int_of_string_opt word
+
+let enum cases =
+  conv
+    (fun v -> fst (List.find (fun (_, x) -> x = v) cases))
+    (fun w -> List.assoc_opt w cases)
+    word
+
+let flag = enum [ ("0", false); ("1", true) ]
+
+let opt c =
+  {
+    print = (fun b -> Option.iter (c.print b));
+    scan = (fun rest -> if !rest = [] then None else Some (c.scan rest));
+  }
+
+let pair a b =
+  {
+    print =
+      (fun buf (x, y) ->
+        a.print buf x;
+        b.print buf y);
+    scan =
+      (fun rest ->
+        let x = a.scan rest in
+        (x, b.scan rest));
+  }
+
+let t3 a b c =
+  conv
+    (fun (x, y, z) -> (x, (y, z)))
+    (fun (x, (y, z)) -> Some (x, y, z))
+    (pair a (pair b c))
+
+let t4 a b c d =
+  conv
+    (fun (x, y, z, w) -> (x, (y, z, w)))
+    (fun (x, (y, z, w)) -> Some (x, y, z, w))
+    (pair a (t3 b c d))
+
+let t5 a b c d e =
+  conv
+    (fun (x, y, z, w, v) -> (x, (y, z, w, v)))
+    (fun (x, (y, z, w, v)) -> Some (x, y, z, w, v))
+    (pair a (t4 b c d e))
+
+let fixed n c =
+  {
+    print = (fun b xs -> Array.iter (c.print b) xs);
+    scan = (fun rest -> Array.init n (fun _ -> c.scan rest));
+  }
+
+type 'a line = { put : Buffer.t -> 'a -> unit; get : reader -> 'a }
+
+let put l = l.put
+let get l = l.get
+let record put get = { put; get }
+
+let line tag c =
+  {
+    put =
+      (fun b v ->
+        Buffer.add_string b tag;
+        c.print b v;
+        Buffer.add_char b '\n');
+    get =
+      (fun r ->
+        match String.split_on_char ' ' (next r) with
+        | t :: words when String.equal t tag -> (
+            let rest = ref words in
+            match c.scan rest with
+            | v when !rest = [] -> v
+            | _ | (exception Bad) -> malformed "bad %s line" tag)
+        | _ -> malformed "bad %s line" tag);
+  }
+
+let tag t = line t { print = (fun _ () -> ()); scan = (fun _ -> ()) }
+
+(* Counts are never negative, and every element takes at least one
+   word, so a count larger than the words left is damage too — caught
+   before anything is allocated. *)
+let count = conv Fun.id (fun n -> if n < 0 then None else Some n) int
+
+let counted ~length ~iter ~init tag c =
+  line tag
+    {
+      print =
+        (fun b xs ->
+          count.print b (length xs);
+          iter (c.print b) xs);
+      scan =
+        (fun rest ->
+          let n = count.scan rest in
+          if n > List.length !rest then raise Bad;
+          init n (fun _ -> c.scan rest));
+    }
+
+let array tag c =
+  counted ~length:Array.length ~iter:Array.iter ~init:Array.init tag c
+
+let list tag c =
+  counted ~length:List.length ~iter:List.iter ~init:List.init tag c
+
+let records tag sub =
+  let head = line tag count in
+  {
+    put =
+      (fun b xs ->
+        head.put b (List.length xs);
+        List.iter (sub.put b) xs);
+    get = (fun r -> List.init (head.get r) (fun _ -> sub.get r));
+  }
+
+let text tag =
+  let head = line tag count in
+  {
+    put =
+      (fun b s ->
+        head.put b
+          (String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 s);
+        Buffer.add_string b s);
+    get =
+      (fun r ->
+        let buf = Buffer.create 4096 in
+        for _ = 1 to head.get r do
+          Buffer.add_string buf (next r);
+          Buffer.add_char buf '\n'
+        done;
+        Buffer.contents buf);
+  }
+
+let write f =
+  let b = Buffer.create 8192 in
+  f b;
+  Buffer.add_string b "end\n";
+  Buffer.contents b
+
+let read f payload =
+  let r =
+    { lines = Array.of_list (String.split_on_char '\n' payload); pos = 0 }
+  in
+  match
+    let v = f r in
+    if next r <> "end" then malformed "expected %S" "end";
+    (* the payload always ends "end\n", so the final split element is
+       one empty string; anything more is garbage a broken writer
+       appended inside the measured payload *)
+    if not (r.pos = Array.length r.lines - 1 && r.lines.(r.pos) = "") then
+      malformed "trailing garbage after end marker";
+    v
+  with
+  | v -> Ok v
+  | exception Malformed reason -> Error reason
 
 (* ---- files ------------------------------------------------------------- *)
 

@@ -8,6 +8,11 @@
     same store, or corruption with the reason it was detected.  The
     journal frames each of its lines with the same {!crc_hex}.
 
+    The checkpoint and snapshot payloads share one line grammar,
+    declared here as two-way {!line} codecs: the stores list their
+    lines once and keep only the checks that belong to their own
+    format.
+
     Files are published crash-consistently: temp file, fsync, atomic
     rename, then fsync of the directory so the rename itself survives a
     power cut. *)
@@ -32,40 +37,94 @@ val seal : magic:string -> string -> string
 val unseal : magic:string -> string -> unsealed
 (** Total: never raises.  The inverse of {!seal} on its image. *)
 
-(** {2 Reading payloads}
+(** {2 Payload lines}
 
-    The stores' payloads are line-oriented text.  A {!reader} walks
-    one; every malformation raises {!Malformed} with its reason, which
-    the store turns into its [Corrupt] classification. *)
+    A payload is line-oriented text ending in an [end] line.  Its
+    grammar is declared once, as {!line} values: each one both prints
+    its lines into a [Buffer] and reads them back, so a store's writer
+    and reader are two lists of calls to the same values and cannot
+    drift apart.  A line is a tag followed by {!cell}s, each a
+    space-separated word or a fixed group of words. *)
 
 exception Malformed of string
-
-val malformed : ('a, unit, string, 'b) format4 -> 'a
-(** [malformed fmt ...] raises {!Malformed} with the formatted reason. *)
-
-val int_exn : string -> int
-(** @raise Malformed if the string is not an integer. *)
+(** Raised inside {!read} — by a line that does not parse, or by a
+    store's own check — and returned as its [Error]. *)
 
 type reader
+(** A payload being read, line by line. *)
 
-val reader : string -> reader
+type 'a cell
 
-val next : reader -> string
-(** The next line, without its newline.
-    @raise Malformed at the end of the payload. *)
+val word : string cell
+(** One word, as is (it must hold no space or newline). *)
 
-val words : reader -> string list
-(** The next line split on single spaces. *)
+val int : int cell
+val flag : bool cell
+(** [0] or [1]. *)
 
-val embedded : reader -> what:string -> int -> string
-(** [embedded r ~what n]: the next [n] lines, each with its newline —
-    a text embedded in the payload.
-    @raise Malformed if [n] is negative (naming [what]) or fewer lines
-    remain. *)
+val enum : (string * 'a) list -> 'a cell
+(** One word naming a constant: [enum [("trace", Trace); ("loop", Loop)]]. *)
 
-val finish : reader -> unit
-(** The [end] marker, then nothing but the final newline.
-    @raise Malformed otherwise. *)
+val conv : ('a -> 'b) -> ('b -> 'a option) -> 'b cell -> 'a cell
+(** [conv enc dec c] carries ['a] as [c]; [dec] returning [None] makes
+    the line bad. *)
+
+val opt : 'a cell -> 'a option cell
+(** Nothing for [None]; must be the last cell of its line. *)
+
+val pair : 'a cell -> 'b cell -> ('a * 'b) cell
+val t3 : 'a cell -> 'b cell -> 'c cell -> ('a * 'b * 'c) cell
+val t4 : 'a cell -> 'b cell -> 'c cell -> 'd cell -> ('a * 'b * 'c * 'd) cell
+
+val t5 :
+  'a cell ->
+  'b cell ->
+  'c cell ->
+  'd cell ->
+  'e cell ->
+  ('a * 'b * 'c * 'd * 'e) cell
+
+val fixed : int -> 'a cell -> 'a array cell
+(** Exactly [n] cells, with no count. *)
+
+type 'a line
+(** One or more payload lines carrying an ['a]. *)
+
+val put : 'a line -> Buffer.t -> 'a -> unit
+
+val get : 'a line -> reader -> 'a
+(** @raise Malformed ["bad <tag> line"] if the lines do not parse. *)
+
+val line : string -> 'a cell -> 'a line
+(** [<tag> <cell>] — the tag followed by exactly the cell's words. *)
+
+val tag : string -> unit line
+(** [<tag>] alone. *)
+
+val array : string -> 'a cell -> 'a array line
+(** [<tag> <n> <cell>*n].  A negative [n], or one larger than the
+    words left on the line, is bad. *)
+
+val list : string -> 'a cell -> 'a list line
+(** As {!array}. *)
+
+val records : string -> 'a line -> 'a list line
+(** [<tag> <n>], then [n] sub-records.  A negative [n] is bad. *)
+
+val text : string -> string line
+(** [<tag> <n>], then a text of [n] newline-terminated lines, embedded
+    verbatim.  A negative [n] is bad. *)
+
+val record : (Buffer.t -> 'a -> unit) -> (reader -> 'a) -> 'a line
+(** A sub-record of several lines, from its writer and its reader —
+    each a list of {!put}s and {!get}s of other lines. *)
+
+val write : (Buffer.t -> unit) -> string
+(** The payload [f] writes, followed by the [end] line. *)
+
+val read : (reader -> 'a) -> string -> ('a, string) result
+(** [read f payload] runs [f], then expects the [end] line and nothing
+    after it.  Total: {!Malformed} comes back as [Error reason]. *)
 
 (** {2 Files} *)
 

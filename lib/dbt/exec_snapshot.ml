@@ -58,375 +58,251 @@ let program_digest (p : Tpdbt_isa.Program.t) =
 
 (* ---- serialisation ----------------------------------------------------- *)
 
-let role_code = function
-  | Region.Taken -> "t"
-  | Region.Not_taken -> "n"
-  | Region.Always -> "a"
+module D = Durable
 
-let payload ~config_digest:cd ~program_digest:pd (im : Engine.image) =
-  let buf = Buffer.create 16384 in
-  let add fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
-  let add_ints name a =
-    Buffer.add_string buf name;
-    Buffer.add_char buf ' ';
-    Buffer.add_string buf (string_of_int (Array.length a));
-    Array.iter
-      (fun v ->
-        Buffer.add_char buf ' ';
-        Buffer.add_string buf (string_of_int v))
-      a;
-    Buffer.add_char buf '\n'
-  in
-  let add_bools name a = add_ints name (Array.map (fun b -> if b then 1 else 0) a) in
-  let add_arm (a : Fault.arm) =
-    add "arm %d %s %Ld" a.Fault.step (Fault.kind_name a.Fault.kind) a.Fault.salt
-  in
-  add "config %s" cd;
-  add "program %s" pd;
+(* The payload's lines, in file order. *)
+module L = struct
+  let int64 = D.conv Int64.to_string Int64.of_string_opt D.word
+  let fault_kind = D.conv Fault.kind_name Fault.kind_of_name D.word
+
+  let role =
+    D.enum
+      [ ("t", Region.Taken); ("n", Region.Not_taken); ("a", Region.Always) ]
+
+  let edge =
+    D.conv
+      (fun (e : Region.edge) -> (e.Region.src, e.Region.dst, e.Region.role))
+      (fun (src, dst, role) -> Some { Region.src; dst; role })
+      (D.t3 D.int D.int role)
+
+  let config = D.line "config" D.word
+  let program = D.line "program" D.word
+  let mem_words = D.line "mem_words" D.int
+  let regs = D.array "regs" D.int
+  let mem = D.array "mem" (D.pair D.int D.int)
+  let pc = D.line "pc" D.int
+  let ret = D.array "ret" D.int
+  let prng = D.line "prng" (D.t4 D.int D.int D.int D.int)
+  let outputs = D.array "outputs" D.int
+  let msteps = D.line "msteps" D.int
+  let halted = D.line "halted" D.flag
+  let poisoned = D.list "poisoned" D.int
+  let use = D.array "use" D.int
+  let taken = D.array "taken" D.int
+  let bstate = D.array "bstate" D.int
+  let touched = D.array "touched" D.flag
+  let dissolve = D.array "dissolve" D.int
+
+  let region_head =
+    D.line "region"
+      (D.pair D.int (D.enum [ ("trace", Region.Trace); ("loop", Region.Loop) ]))
+
+  let slots = D.array "slots" D.int
+  let edges = D.list "edges" edge
+  let back = D.list "back" edge
+  let fuse = D.array "fuse" D.int
+  let ftaken = D.array "ftaken" D.int
+  let monitor = D.line "monitor" (D.t5 D.int D.int D.int D.int D.flag)
+
+  (* A region and its monitor, keyed by the region's id. *)
+  let regions =
+    D.records "regions"
+      (D.record
+         (fun b ((r : Region.t), (_, mon)) ->
+           D.put region_head b (r.Region.id, r.Region.kind);
+           D.put slots b r.Region.slots;
+           D.put edges b r.Region.edges;
+           D.put back b r.Region.back_edges;
+           D.put fuse b r.Region.frozen_use;
+           D.put ftaken b r.Region.frozen_taken;
+           D.put monitor b mon)
+         (fun rd ->
+           let id, kind = D.get region_head rd in
+           let slots = D.get slots rd in
+           let edges = D.get edges rd in
+           let back_edges = D.get back rd in
+           let frozen_use = D.get fuse rd in
+           let frozen_taken = D.get ftaken rd in
+           let r =
+             {
+               Region.id;
+               kind;
+               slots;
+               edges;
+               back_edges;
+               frozen_use;
+               frozen_taken;
+             }
+           in
+           (match Region.validate r with
+           | Ok () -> ()
+           | Error reason ->
+               raise (D.Malformed (Printf.sprintf "region %d: %s" id reason)));
+           (r, (id, D.get monitor rd))))
+
+  let next_region = D.line "next_region" D.int
+  let pool = D.list "pool" D.int
+  let pool_trigger = D.line "pool_trigger" D.int
+  let fault_fails = D.array "fault_fails" D.int
+  let quarantined = D.array "quarantined" D.flag
+  let qcount = D.line "qcount" D.int
+  let degraded = D.line "degraded" D.flag
+  let last_round = D.line "last_round" D.int
+
+  let salt =
+    D.conv
+      (function None -> "-" | Some s -> Int64.to_string s)
+      (function
+        | "-" -> Some None
+        | s -> Option.map Option.some (Int64.of_string_opt s))
+      D.word
+
+  let cache =
+    D.records "cache" (D.line "centry" (D.t5 D.int D.int D.int D.int salt))
+
+  let cache_stats = D.line "cache_stats" (D.t4 D.int D.int D.int D.int)
+
+  let arm =
+    D.conv
+      (fun (a : Fault.arm) -> (a.Fault.step, a.Fault.kind, a.Fault.salt))
+      (fun (step, kind, salt) -> Some { Fault.step; kind; salt })
+      (D.t3 D.int fault_kind int64)
+
+  let pending = D.records "pending" (D.line "arm" arm)
+
+  let fired =
+    D.records "fired"
+      (D.line "shot"
+         (D.conv
+            (fun (s : Fault.shot) ->
+              (s.Fault.arm, s.Fault.fired_step, s.Fault.target))
+            (fun (arm, fired_step, target) ->
+              Some { Fault.arm; fired_step; target })
+            (D.t3 arm D.int D.int)))
+end
+
+let to_string ~config ~program (im : Engine.image) =
   let m = im.Engine.ex_machine in
-  add "mem_words %d" m.Machine.im_mem_words;
-  add_ints "regs" m.Machine.im_regs;
-  add "mem %d%s"
-    (Array.length m.Machine.im_mem)
-    (String.concat ""
-       (Array.to_list
-          (Array.map
-             (fun (a, v) -> Printf.sprintf " %d %d" a v)
-             m.Machine.im_mem)));
-  add "pc %d" m.Machine.im_pc;
-  add_ints "ret" m.Machine.im_ret_stack;
-  let ph, pl, pzh, pzl = m.Machine.im_prng in
-  add "prng %d %d %d %d" ph pl pzh pzl;
-  add_ints "outputs" m.Machine.im_outputs;
-  add "msteps %d" m.Machine.im_steps;
-  add "halted %d" (if m.Machine.im_halted then 1 else 0);
-  add "poisoned %d%s"
-    (List.length m.Machine.im_poisoned)
-    (String.concat ""
-       (List.map (fun p -> " " ^ string_of_int p) m.Machine.im_poisoned));
-  add_ints "use" im.Engine.ex_use;
-  add_ints "taken" im.Engine.ex_taken;
-  add_ints "bstate" im.Engine.ex_state;
-  add_bools "touched" im.Engine.ex_touched;
-  add_ints "dissolve" im.Engine.ex_dissolve;
-  add "regions %d" (List.length im.Engine.ex_regions);
-  List.iter
-    (fun (r : Region.t) ->
-      add "region %d %s" r.Region.id
-        (match r.Region.kind with Region.Trace -> "trace" | Region.Loop -> "loop");
-      add_ints "slots" r.Region.slots;
-      let edges name es =
-        add "%s %d%s" name (List.length es)
-          (String.concat ""
-             (List.map
-                (fun (e : Region.edge) ->
-                  Printf.sprintf " %d %d %s" e.Region.src e.Region.dst
-                    (role_code e.Region.role))
-                es))
-      in
-      edges "edges" r.Region.edges;
-      edges "back" r.Region.back_edges;
-      add_ints "fuse" r.Region.frozen_use;
-      add_ints "ftaken" r.Region.frozen_taken;
-      let e, s, lt, ls, dis =
-        match List.assoc_opt r.Region.id im.Engine.ex_monitors with
-        | Some mon -> mon
-        | None -> invalid_arg "Exec_snapshot: region without monitor"
-      in
-      add "monitor %d %d %d %d %d" e s lt ls (if dis then 1 else 0))
-    im.Engine.ex_regions;
-  add "next_region %d" im.Engine.ex_next_region_id;
-  add "pool %d%s"
-    (List.length im.Engine.ex_pool)
-    (String.concat ""
-       (List.map (fun b -> " " ^ string_of_int b) im.Engine.ex_pool));
-  add "pool_trigger %d" im.Engine.ex_pool_trigger_now;
-  add_ints "fault_fails" im.Engine.ex_fault_fails;
-  add_bools "quarantined" im.Engine.ex_quarantined;
-  add "qcount %d" im.Engine.ex_quarantine_count;
-  add "degraded %d" (if im.Engine.ex_degraded then 1 else 0);
-  add "last_round %d" im.Engine.ex_last_round_step;
-  add "cache %d" (List.length im.Engine.ex_cache);
-  List.iter
-    (fun (rank, id, size, stamp, corrupt) ->
-      add "centry %d %d %d %d %s" rank id size stamp
-        (match corrupt with None -> "-" | Some s -> Int64.to_string s))
-    im.Engine.ex_cache;
-  let ev, fl, ei, pk = im.Engine.ex_cache_stats in
-  add "cache_stats %d %d %d %d" ev fl ei pk;
-  add "%s" (Perf_model.counters_to_line im.Engine.ex_counters);
-  add "pending %d" (List.length im.Engine.ex_pending);
-  List.iter add_arm im.Engine.ex_pending;
-  add "fired %d" (List.length im.Engine.ex_fired);
-  List.iter
-    (fun (s : Fault.shot) ->
-      add "shot %d %s %Ld %d %d" s.Fault.arm.Fault.step
-        (Fault.kind_name s.Fault.arm.Fault.kind)
-        s.Fault.arm.Fault.salt s.Fault.fired_step s.Fault.target)
-    im.Engine.ex_fired;
-  add "end";
-  Buffer.contents buf
-
-let to_string ~config ~program image =
-  let p =
-    payload ~config_digest:(config_digest config)
-      ~program_digest:(program_digest program) image
+  let monitor (r : Region.t) =
+    match List.assoc_opt r.Region.id im.Engine.ex_monitors with
+    | Some mon -> (r, (r.Region.id, mon))
+    | None -> invalid_arg "Exec_snapshot: region without monitor"
   in
-  Durable.seal ~magic p
+  Durable.seal ~magic
+    (D.write (fun b ->
+         D.put L.config b (config_digest config);
+         D.put L.program b (program_digest program);
+         D.put L.mem_words b m.Machine.im_mem_words;
+         D.put L.regs b m.Machine.im_regs;
+         D.put L.mem b m.Machine.im_mem;
+         D.put L.pc b m.Machine.im_pc;
+         D.put L.ret b m.Machine.im_ret_stack;
+         D.put L.prng b m.Machine.im_prng;
+         D.put L.outputs b m.Machine.im_outputs;
+         D.put L.msteps b m.Machine.im_steps;
+         D.put L.halted b m.Machine.im_halted;
+         D.put L.poisoned b m.Machine.im_poisoned;
+         D.put L.use b im.Engine.ex_use;
+         D.put L.taken b im.Engine.ex_taken;
+         D.put L.bstate b im.Engine.ex_state;
+         D.put L.touched b im.Engine.ex_touched;
+         D.put L.dissolve b im.Engine.ex_dissolve;
+         D.put L.regions b (List.map monitor im.Engine.ex_regions);
+         D.put L.next_region b im.Engine.ex_next_region_id;
+         D.put L.pool b im.Engine.ex_pool;
+         D.put L.pool_trigger b im.Engine.ex_pool_trigger_now;
+         D.put L.fault_fails b im.Engine.ex_fault_fails;
+         D.put L.quarantined b im.Engine.ex_quarantined;
+         D.put L.qcount b im.Engine.ex_quarantine_count;
+         D.put L.degraded b im.Engine.ex_degraded;
+         D.put L.last_round b im.Engine.ex_last_round_step;
+         D.put L.cache b im.Engine.ex_cache;
+         D.put L.cache_stats b im.Engine.ex_cache_stats;
+         D.put Perf_model.counters_line b im.Engine.ex_counters;
+         D.put L.pending b im.Engine.ex_pending;
+         D.put L.fired b im.Engine.ex_fired))
 
 (* ---- parsing ----------------------------------------------------------- *)
 
-exception Malformed = Durable.Malformed
-
-let parse_payload text =
-  let r = Durable.reader text in
-  let next () = Durable.next r and words () = Durable.words r in
-  let int_exn = Durable.int_exn in
-  let tagged tag =
-    match words () with
-    | t :: rest when t = tag -> rest
-    | _ -> raise (Malformed (Printf.sprintf "bad %s line" tag))
-  in
-  let tagged1 tag =
-    match tagged tag with
-    | [ v ] -> v
-    | _ -> raise (Malformed (Printf.sprintf "bad %s line" tag))
-  in
-  let int1 tag = int_exn (tagged1 tag) in
-  let bool1 tag =
-    match int1 tag with
-    | 0 -> false
-    | 1 -> true
-    | _ -> raise (Malformed (Printf.sprintf "bad %s flag" tag))
-  in
-  let counted tag =
-    match tagged tag with
-    | n :: rest when List.length rest = int_exn n -> rest
-    | _ -> raise (Malformed (Printf.sprintf "bad %s line" tag))
-  in
-  let int_array tag = Array.of_list (List.map int_exn (counted tag)) in
-  let bool_array tag =
-    Array.map
-      (function
-        | 0 -> false
-        | 1 -> true
-        | _ -> raise (Malformed (Printf.sprintf "bad %s flag" tag)))
-      (int_array tag)
-  in
-  let pairs tag =
-    match tagged tag with
-    | n :: rest when List.length rest = 2 * int_exn n ->
-        let rec go = function
-          | [] -> []
-          | a :: v :: rest -> (int_exn a, int_exn v) :: go rest
-          | _ -> raise (Malformed (Printf.sprintf "bad %s line" tag))
-        in
-        go rest
-    | _ -> raise (Malformed (Printf.sprintf "bad %s line" tag))
-  in
-  let role_of = function
-    | "t" -> Region.Taken
-    | "n" -> Region.Not_taken
-    | "a" -> Region.Always
-    | s -> raise (Malformed (Printf.sprintf "bad edge role %S" s))
-  in
-  let edge_list tag =
-    match tagged tag with
-    | n :: rest when List.length rest = 3 * int_exn n ->
-        let rec go = function
-          | [] -> []
-          | s :: d :: r :: rest ->
-              { Region.src = int_exn s; dst = int_exn d; role = role_of r }
-              :: go rest
-          | _ -> raise (Malformed (Printf.sprintf "bad %s line" tag))
-        in
-        go rest
-    | _ -> raise (Malformed (Printf.sprintf "bad %s line" tag))
-  in
-  let kind_of_name name =
-    match Fault.kind_of_name name with
-    | Some k -> k
-    | None -> raise (Malformed (Printf.sprintf "unknown fault kind %S" name))
-  in
-  let int64_exn s =
-    match Int64.of_string_opt s with
-    | Some v -> v
-    | None -> raise (Malformed (Printf.sprintf "not an int64: %S" s))
-  in
-  try
-    let sn_config_digest = tagged1 "config" in
-    let sn_program_digest = tagged1 "program" in
-    let im_mem_words = int1 "mem_words" in
-    let im_regs = int_array "regs" in
-    let im_mem = Array.of_list (pairs "mem") in
-    let im_pc = int1 "pc" in
-    let im_ret_stack = int_array "ret" in
-    let im_prng =
-      match tagged "prng" with
-      | [ a; b; c; d ] -> (int_exn a, int_exn b, int_exn c, int_exn d)
-      | _ -> raise (Malformed "bad prng line")
-    in
-    let im_outputs = int_array "outputs" in
-    let im_steps = int1 "msteps" in
-    let im_halted = bool1 "halted" in
-    let im_poisoned = List.map int_exn (counted "poisoned") in
-    let ex_use = int_array "use" in
-    let ex_taken = int_array "taken" in
-    let ex_state = int_array "bstate" in
-    let ex_touched = bool_array "touched" in
-    let ex_dissolve = int_array "dissolve" in
-    let nregions = int1 "regions" in
-    if nregions < 0 then raise (Malformed "negative region count");
-    let with_monitors =
-      List.init nregions (fun _ ->
-          let id, kind =
-            match tagged "region" with
-            | [ id; "trace" ] -> (int_exn id, Region.Trace)
-            | [ id; "loop" ] -> (int_exn id, Region.Loop)
-            | _ -> raise (Malformed "bad region line")
-          in
-          let slots = int_array "slots" in
-          let edges = edge_list "edges" in
-          let back_edges = edge_list "back" in
-          let frozen_use = int_array "fuse" in
-          let frozen_taken = int_array "ftaken" in
-          let monitor =
-            match tagged "monitor" with
-            | [ e; s; lt; ls; d ] ->
-                ( int_exn e,
-                  int_exn s,
-                  int_exn lt,
-                  int_exn ls,
-                  match int_exn d with
-                  | 0 -> false
-                  | 1 -> true
-                  | _ -> raise (Malformed "bad monitor flag") )
-            | _ -> raise (Malformed "bad monitor line")
-          in
-          let r =
-            {
-              Region.id;
-              kind;
-              slots;
-              edges;
-              back_edges;
-              frozen_use;
-              frozen_taken;
-            }
-          in
-          (match Region.validate r with
-          | Ok () -> ()
-          | Error reason ->
-              raise (Malformed (Printf.sprintf "region %d: %s" id reason)));
-          (r, (id, monitor)))
-    in
-    let ex_regions = List.map fst with_monitors in
-    let ex_monitors = List.sort compare (List.map snd with_monitors) in
-    let ex_next_region_id = int1 "next_region" in
-    let ex_pool = List.map int_exn (counted "pool") in
-    let ex_pool_trigger_now = int1 "pool_trigger" in
-    let ex_fault_fails = int_array "fault_fails" in
-    let ex_quarantined = bool_array "quarantined" in
-    let ex_quarantine_count = int1 "qcount" in
-    let ex_degraded = bool1 "degraded" in
-    let ex_last_round_step = int1 "last_round" in
-    let ncache = int1 "cache" in
-    if ncache < 0 then raise (Malformed "negative cache count");
-    let ex_cache =
-      List.init ncache (fun _ ->
-          match tagged "centry" with
-          | [ rank; id; size; stamp; salt ] ->
-              ( int_exn rank,
-                int_exn id,
-                int_exn size,
-                int_exn stamp,
-                if salt = "-" then None else Some (int64_exn salt) )
-          | _ -> raise (Malformed "bad centry line"))
-    in
-    let ex_cache_stats =
-      match tagged "cache_stats" with
-      | [ e; f; i; p ] -> (int_exn e, int_exn f, int_exn i, int_exn p)
-      | _ -> raise (Malformed "bad cache_stats line")
-    in
-    let ex_counters = Perf_model.counters_of_line (next ()) in
-    let npending = int1 "pending" in
-    if npending < 0 then raise (Malformed "negative pending count");
-    let ex_pending =
-      List.init npending (fun _ ->
-          match tagged "arm" with
-          | [ step; kind; salt ] ->
-              {
-                Fault.step = int_exn step;
-                kind = kind_of_name kind;
-                salt = int64_exn salt;
-              }
-          | _ -> raise (Malformed "bad arm line"))
-    in
-    let nfired = int1 "fired" in
-    if nfired < 0 then raise (Malformed "negative fired count");
-    let ex_fired =
-      List.init nfired (fun _ ->
-          match tagged "shot" with
-          | [ step; kind; salt; fired_step; target ] ->
-              {
-                Fault.arm =
-                  {
-                    Fault.step = int_exn step;
-                    kind = kind_of_name kind;
-                    salt = int64_exn salt;
-                  };
-                fired_step = int_exn fired_step;
-                target = int_exn target;
-              }
-          | _ -> raise (Malformed "bad shot line"))
-    in
-    Durable.finish r;
-    Snapshot
+let parse_payload rd =
+  let sn_config_digest = D.get L.config rd in
+  let sn_program_digest = D.get L.program rd in
+  let im_mem_words = D.get L.mem_words rd in
+  let im_regs = D.get L.regs rd in
+  let im_mem = D.get L.mem rd in
+  let im_pc = D.get L.pc rd in
+  let im_ret_stack = D.get L.ret rd in
+  let im_prng = D.get L.prng rd in
+  let im_outputs = D.get L.outputs rd in
+  let im_steps = D.get L.msteps rd in
+  let im_halted = D.get L.halted rd in
+  let im_poisoned = D.get L.poisoned rd in
+  let ex_use = D.get L.use rd in
+  let ex_taken = D.get L.taken rd in
+  let ex_state = D.get L.bstate rd in
+  let ex_touched = D.get L.touched rd in
+  let ex_dissolve = D.get L.dissolve rd in
+  let with_monitors = D.get L.regions rd in
+  let ex_next_region_id = D.get L.next_region rd in
+  let ex_pool = D.get L.pool rd in
+  let ex_pool_trigger_now = D.get L.pool_trigger rd in
+  let ex_fault_fails = D.get L.fault_fails rd in
+  let ex_quarantined = D.get L.quarantined rd in
+  let ex_quarantine_count = D.get L.qcount rd in
+  let ex_degraded = D.get L.degraded rd in
+  let ex_last_round_step = D.get L.last_round rd in
+  let ex_cache = D.get L.cache rd in
+  let ex_cache_stats = D.get L.cache_stats rd in
+  let ex_counters = D.get Perf_model.counters_line rd in
+  let ex_pending = D.get L.pending rd in
+  let ex_fired = D.get L.fired rd in
+  {
+    sn_config_digest;
+    sn_program_digest;
+    sn_image =
       {
-        sn_config_digest;
-        sn_program_digest;
-        sn_image =
+        Engine.ex_machine =
           {
-            Engine.ex_machine =
-              {
-                Machine.im_mem_words;
-                im_regs;
-                im_mem;
-                im_pc;
-                im_ret_stack;
-                im_prng;
-                im_outputs;
-                im_steps;
-                im_halted;
-                im_poisoned;
-              };
-            ex_use;
-            ex_taken;
-            ex_state;
-            ex_touched;
-            ex_dissolve;
-            ex_regions;
-            ex_monitors;
-            ex_next_region_id;
-            ex_pool;
-            ex_pool_trigger_now;
-            ex_fault_fails;
-            ex_quarantined;
-            ex_quarantine_count;
-            ex_degraded;
-            ex_last_round_step;
-            ex_cache;
-            ex_cache_stats;
-            ex_counters;
-            ex_pending;
-            ex_fired;
+            Machine.im_mem_words;
+            im_regs;
+            im_mem;
+            im_pc;
+            im_ret_stack;
+            im_prng;
+            im_outputs;
+            im_steps;
+            im_halted;
+            im_poisoned;
           };
-      }
-  with Malformed reason -> Corrupt reason
+        ex_use;
+        ex_taken;
+        ex_state;
+        ex_touched;
+        ex_dissolve;
+        ex_regions = List.map fst with_monitors;
+        ex_monitors = List.sort compare (List.map snd with_monitors);
+        ex_next_region_id;
+        ex_pool;
+        ex_pool_trigger_now;
+        ex_fault_fails;
+        ex_quarantined;
+        ex_quarantine_count;
+        ex_degraded;
+        ex_last_round_step;
+        ex_cache;
+        ex_cache_stats;
+        ex_counters;
+        ex_pending;
+        ex_fired;
+      };
+  }
 
 let of_string text =
   match Durable.unseal ~magic text with
-  | Durable.Payload p -> parse_payload p
+  | Durable.Payload p -> (
+      match D.read parse_payload p with
+      | Ok parsed -> Snapshot parsed
+      | Error reason -> Corrupt reason)
   | Durable.Stale_version line -> Stale_version line
   | Durable.Corrupt reason -> Corrupt reason
 

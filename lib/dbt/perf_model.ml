@@ -107,50 +107,60 @@ let record c registry =
 (* The durable form of a counters record, shared by the checkpoint
    store and engine snapshots: %h round-trips the float exactly; every
    other field is an int. *)
-let counters_to_line c =
-  Printf.sprintf
-    "counters %h %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d \
-     %d"
-    c.cycles c.blocks_translated c.regions_formed c.region_entries
-    c.region_completions c.loop_backs c.side_exits c.optimization_rounds
-    c.regions_dissolved c.faults_injected c.retrans_retries c.fault_dissolves
-    c.blocks_retranslated c.cache_evictions c.cache_flushes
-    c.cache_evicted_instrs c.cache_peak_instrs c.shadow_replays
-    c.shadow_divergences c.corrupted_entries c.regions_quarantined
-    c.watchdog_degraded
-
-let counters_of_line line =
-  let int_exn = Durable.int_exn in
-  match String.split_on_char ' ' line with
-  | [
-      "counters"; cy; a; b; c; d; e; f; g; h; i; j; k; l; m; n; o; p; q; r; s;
-      u; v;
-    ] -> (
-      match float_of_string_opt cy with
-      | None -> Durable.malformed "bad cycles value"
-      | Some cycles ->
-          {
-            cycles;
-            blocks_translated = int_exn a;
-            regions_formed = int_exn b;
-            region_entries = int_exn c;
-            region_completions = int_exn d;
-            loop_backs = int_exn e;
-            side_exits = int_exn f;
-            optimization_rounds = int_exn g;
-            regions_dissolved = int_exn h;
-            faults_injected = int_exn i;
-            retrans_retries = int_exn j;
-            fault_dissolves = int_exn k;
-            blocks_retranslated = int_exn l;
-            cache_evictions = int_exn m;
-            cache_flushes = int_exn n;
-            cache_evicted_instrs = int_exn o;
-            cache_peak_instrs = int_exn p;
-            shadow_replays = int_exn q;
-            shadow_divergences = int_exn r;
-            corrupted_entries = int_exn s;
-            regions_quarantined = int_exn u;
-            watchdog_degraded = int_exn v;
-          })
-  | _ -> Durable.malformed "bad counters line"
+let counters_line =
+  let module D = Durable in
+  let hex_float = D.conv (Printf.sprintf "%h") float_of_string_opt D.word in
+  D.line "counters"
+    (D.conv
+       (fun c ->
+         ( c.cycles,
+           [|
+             c.blocks_translated;
+             c.regions_formed;
+             c.region_entries;
+             c.region_completions;
+             c.loop_backs;
+             c.side_exits;
+             c.optimization_rounds;
+             c.regions_dissolved;
+             c.faults_injected;
+             c.retrans_retries;
+             c.fault_dissolves;
+             c.blocks_retranslated;
+             c.cache_evictions;
+             c.cache_flushes;
+             c.cache_evicted_instrs;
+             c.cache_peak_instrs;
+             c.shadow_replays;
+             c.shadow_divergences;
+             c.corrupted_entries;
+             c.regions_quarantined;
+             c.watchdog_degraded;
+           |] ))
+       (fun (cycles, a) ->
+         Some
+           {
+             cycles;
+             blocks_translated = a.(0);
+             regions_formed = a.(1);
+             region_entries = a.(2);
+             region_completions = a.(3);
+             loop_backs = a.(4);
+             side_exits = a.(5);
+             optimization_rounds = a.(6);
+             regions_dissolved = a.(7);
+             faults_injected = a.(8);
+             retrans_retries = a.(9);
+             fault_dissolves = a.(10);
+             blocks_retranslated = a.(11);
+             cache_evictions = a.(12);
+             cache_flushes = a.(13);
+             cache_evicted_instrs = a.(14);
+             cache_peak_instrs = a.(15);
+             shadow_replays = a.(16);
+             shadow_divergences = a.(17);
+             corrupted_entries = a.(18);
+             regions_quarantined = a.(19);
+             watchdog_degraded = a.(20);
+           })
+       (D.pair hex_float (D.fixed 21 D.int)))

@@ -89,11 +89,7 @@ val record : counters -> Tpdbt_telemetry.Metrics.t -> unit
     several runs into the same registry sums them, so a sweep can
     aggregate its whole fleet of runs into one registry. *)
 
-val counters_to_line : counters -> string
+val counters_line : counters Durable.line
 (** The one-line durable form, ["counters <cycles> <21 ints>"] with the
     cycles float in lossless [%h] form — the line the checkpoint store
     and engine snapshots embed. *)
-
-val counters_of_line : string -> counters
-(** Inverse of {!counters_to_line}.
-    @raise Durable.Malformed saying what is malformed. *)

@@ -28,257 +28,217 @@ type classified =
 
 (* ---- serialisation ----------------------------------------------------- *)
 
-let result_to_buf buf (r : Engine.result) =
-  let add fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
-  add "steps %d" r.Engine.steps;
-  add "profiling_ops %d" r.Engine.profiling_ops;
-  add "outputs %d%s" (List.length r.Engine.outputs)
-    (String.concat ""
-       (List.map (fun v -> " " ^ string_of_int v) r.Engine.outputs));
-  add "%s" (Perf_model.counters_to_line r.Engine.counters);
-  add "regstats %d" (List.length r.Engine.region_stats);
-  List.iter
-    (fun (id, (s : Engine.region_stats)) ->
-      add "regstat %d %d %d %d %d" id s.Engine.entries s.Engine.side_exits
-        s.Engine.loop_back_taken s.Engine.loop_back_seen)
-    r.Engine.region_stats;
-  let text = Profile_io.to_string r.Engine.snapshot in
-  let nlines = String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 text in
-  add "snapshot %d" nlines;
-  Buffer.add_string buf text
+module D = Durable
 
-let payload_of_data (d : Runner.data) =
-  let buf = Buffer.create 8192 in
-  let add fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
-  add "bench %s" d.Runner.bench.Spec.name;
-  add "kind finished";
-  add "thresholds %d" (List.length d.Runner.runs);
-  List.iter
-    (fun (r : Runner.threshold_run) ->
-      add "threshold %s %d" r.Runner.label r.Runner.scaled)
-    d.Runner.runs;
-  add "avep";
-  result_to_buf buf d.Runner.avep;
-  add "train";
-  result_to_buf buf d.Runner.train;
-  List.iter
-    (fun (r : Runner.threshold_run) ->
-      add "run %s %d" r.Runner.label r.Runner.scaled;
-      result_to_buf buf r.Runner.result)
-    d.Runner.runs;
-  add "end";
-  Buffer.contents buf
+(* The payload's lines.  A finished payload is [bench], [kind],
+   [thresholds], then the [avep], [train] and each [run] header
+   followed by its result; a suspended one is [bench], [kind],
+   [thresholds], [done] stages, [next] and the [exec] snapshot. *)
+module L = struct
+  let steps = D.line "steps" D.int
+  let profiling_ops = D.line "profiling_ops" D.int
+  let outputs = D.list "outputs" D.int
 
-let stage_header (s : Runner.stage) =
-  match s with
-  | Runner.Avep -> "avep"
-  | Runner.Train -> "train"
-  | Runner.Threshold (label, scaled) -> Printf.sprintf "run %s %d" label scaled
+  let regstats =
+    D.records "regstats"
+      (D.line "regstat"
+         (D.conv
+            (fun (id, (s : Engine.region_stats)) ->
+              ( id,
+                s.Engine.entries,
+                s.Engine.side_exits,
+                s.Engine.loop_back_taken,
+                s.Engine.loop_back_seen ))
+            (fun (id, entries, side_exits, loop_back_taken, loop_back_seen) ->
+              Some
+                ( id,
+                  {
+                    Engine.entries;
+                    side_exits;
+                    loop_back_taken;
+                    loop_back_seen;
+                  } ))
+            (D.t5 D.int D.int D.int D.int D.int)))
 
-let payload_of_partial (p : Runner.partial) =
-  let buf = Buffer.create 8192 in
-  let add fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
-  add "bench %s" p.Runner.p_bench.Spec.name;
-  add "kind suspended";
-  add "thresholds %d" (List.length p.Runner.p_thresholds);
-  List.iter
-    (fun (label, scaled) -> add "threshold %s %d" label scaled)
-    p.Runner.p_thresholds;
-  add "done %d" (List.length p.Runner.p_done);
-  List.iter
-    (fun (stage, result) ->
-      add "stage %s" (stage_header stage);
-      result_to_buf buf result)
-    p.Runner.p_done;
-  add "next %s" (stage_header p.Runner.p_next);
-  let text = p.Runner.p_snapshot in
-  let nlines =
-    String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 text
-  in
-  add "exec %d" nlines;
-  Buffer.add_string buf text;
-  add "end";
-  Buffer.contents buf
+  let profile = D.text "snapshot"
 
-let data_to_string (d : Runner.data) = Durable.seal ~magic (payload_of_data d)
+  (* One engine run's raw result. *)
+  let result =
+    D.record
+      (fun b (r : Engine.result) ->
+        D.put steps b r.Engine.steps;
+        D.put profiling_ops b r.Engine.profiling_ops;
+        D.put outputs b r.Engine.outputs;
+        D.put Perf_model.counters_line b r.Engine.counters;
+        D.put regstats b r.Engine.region_stats;
+        D.put profile b (Profile_io.to_string r.Engine.snapshot))
+      (fun rd ->
+        let steps = D.get steps rd in
+        let profiling_ops = D.get profiling_ops rd in
+        let outputs = D.get outputs rd in
+        let counters = D.get Perf_model.counters_line rd in
+        let region_stats = D.get regstats rd in
+        match Profile_io.of_string (D.get profile rd) with
+        | Ok snapshot ->
+            {
+              Engine.snapshot;
+              counters;
+              steps;
+              profiling_ops;
+              outputs;
+              region_stats;
+              error = None;
+              faults = None;
+            }
+        | Error _ -> raise (D.Malformed "embedded profile rejected"))
+
+  let bench = D.line "bench" D.word
+
+  let kind =
+    D.line "kind"
+      (D.enum [ ("finished", `Finished); ("suspended", `Suspended) ])
+
+  let thresholds =
+    D.records "thresholds" (D.line "threshold" (D.pair D.word D.int))
+
+  let avep = D.tag "avep"
+  let train = D.tag "train"
+  let run = D.line "run" (D.pair D.word D.int)
+
+  let stage_cell =
+    D.conv
+      (function
+        | Runner.Avep -> ("avep", None)
+        | Runner.Train -> ("train", None)
+        | Runner.Threshold (label, scaled) -> ("run", Some (label, scaled)))
+      (function
+        | "avep", None -> Some Runner.Avep
+        | "train", None -> Some Runner.Train
+        | "run", Some (label, scaled) -> Some (Runner.Threshold (label, scaled))
+        | _ -> None)
+      (D.pair D.word (D.opt (D.pair D.word D.int)))
+
+  let stage = D.line "stage" stage_cell
+
+  let done_ =
+    D.records "done"
+      (D.record
+         (fun b (st, r) ->
+           D.put stage b st;
+           D.put result b r)
+         (fun rd ->
+           let st = D.get stage rd in
+           (st, D.get result rd)))
+
+  let next = D.line "next" stage_cell
+  let exec = D.text "exec"
+end
+
+let data_to_string (d : Runner.data) =
+  Durable.seal ~magic
+    (D.write (fun b ->
+         D.put L.bench b d.Runner.bench.Spec.name;
+         D.put L.kind b `Finished;
+         D.put L.thresholds b
+           (List.map
+              (fun (r : Runner.threshold_run) ->
+                (r.Runner.label, r.Runner.scaled))
+              d.Runner.runs);
+         D.put L.avep b ();
+         D.put L.result b d.Runner.avep;
+         D.put L.train b ();
+         D.put L.result b d.Runner.train;
+         List.iter
+           (fun (r : Runner.threshold_run) ->
+             D.put L.run b (r.Runner.label, r.Runner.scaled);
+             D.put L.result b r.Runner.result)
+           d.Runner.runs))
 
 let partial_to_string (p : Runner.partial) =
-  Durable.seal ~magic (payload_of_partial p)
+  Durable.seal ~magic
+    (D.write (fun b ->
+         D.put L.bench b p.Runner.p_bench.Spec.name;
+         D.put L.kind b `Suspended;
+         D.put L.thresholds b p.Runner.p_thresholds;
+         D.put L.done_ b p.Runner.p_done;
+         D.put L.next b p.Runner.p_next;
+         D.put L.exec b p.Runner.p_snapshot))
 
 (* ---- parsing ----------------------------------------------------------- *)
 
-exception Malformed = Durable.Malformed
-
-let parse_payload ?expect_thresholds spec text =
-  let r = Durable.reader text in
-  let next () = Durable.next r and words () = Durable.words r in
-  let int_exn = Durable.int_exn in
-  let expect s =
-    if next () <> s then raise (Malformed (Printf.sprintf "expected %S" s))
-  in
-  let read_result () =
-    let steps =
-      match words () with
-      | [ "steps"; n ] -> int_exn n
-      | _ -> raise (Malformed "bad steps line")
-    in
-    let profiling_ops =
-      match words () with
-      | [ "profiling_ops"; n ] -> int_exn n
-      | _ -> raise (Malformed "bad profiling_ops line")
-    in
-    let outputs =
-      match words () with
-      | "outputs" :: n :: vs when List.length vs = int_exn n ->
-          List.map int_exn vs
-      | _ -> raise (Malformed "bad outputs line")
-    in
-    let counters = Perf_model.counters_of_line (next ()) in
-    let nstats =
-      match words () with
-      | [ "regstats"; n ] -> int_exn n
-      | _ -> raise (Malformed "bad regstats line")
-    in
-    let region_stats =
-      List.init nstats (fun _ ->
-          match words () with
-          | [ "regstat"; id; en; se; lbt; lbs ] ->
-              ( int_exn id,
-                {
-                  Engine.entries = int_exn en;
-                  side_exits = int_exn se;
-                  loop_back_taken = int_exn lbt;
-                  loop_back_seen = int_exn lbs;
-                } )
-          | _ -> raise (Malformed "bad regstat line"))
-    in
-    let nlines =
-      match words () with
-      | [ "snapshot"; n ] -> int_exn n
-      | _ -> raise (Malformed "bad snapshot line")
-    in
-    let snapshot =
-      match Profile_io.of_string (Durable.embedded r ~what:"snapshot" nlines) with
-      | Ok s -> s
-      | Error _ -> raise (Malformed "embedded profile rejected")
-    in
-    {
-      Engine.snapshot;
-      counters;
-      steps;
-      profiling_ops;
-      outputs;
-      region_stats;
-      error = None;
-      faults = None;
-    }
-  in
-  try
-    (match words () with
-    | [ "bench"; name ] when name = spec.Spec.name -> ()
-    | [ "bench"; name ] ->
-        raise
-          (Malformed
-             (Printf.sprintf "checkpoint is for benchmark %s, not %s" name
-                spec.Spec.name))
-    | _ -> raise (Malformed "bad bench line"));
-    let kind =
-      match words () with
-      | [ "kind"; k ] -> k
-      | _ -> raise (Malformed "bad kind line")
-    in
-    let nruns =
-      match words () with
-      | [ "thresholds"; n ] -> int_exn n
-      | _ -> raise (Malformed "bad thresholds line")
-    in
-    let labels =
-      List.init nruns (fun _ ->
-          match words () with
-          | [ "threshold"; label; scaled ] -> (label, int_exn scaled)
-          | _ -> raise (Malformed "bad threshold line"))
-    in
-    (match expect_thresholds with
-    | Some expected when labels <> expected ->
-        raise (Malformed "recorded under a different threshold list")
-    | _ -> ());
-    match kind with
-    | "finished" ->
-        expect "avep";
-        let avep = read_result () in
-        expect "train";
-        let train = read_result () in
-        let raw_runs =
-          List.map
-            (fun (label, scaled) ->
-              (match words () with
-              | [ "run"; l; s ] when l = label && int_exn s = scaled -> ()
-              | _ -> raise (Malformed "run header out of order"));
-              (label, scaled, read_result ()))
-            labels
-        in
-        Durable.finish r;
-        Valid (Finished (Runner.assemble spec avep train raw_runs))
-    | "suspended" ->
-        let stage_of = function
-          | [ "avep" ] -> Runner.Avep
-          | [ "train" ] -> Runner.Train
-          | [ "run"; label; scaled ]
-            when List.assoc_opt label labels = Some (int_exn scaled) ->
-              Runner.Threshold (label, int_exn scaled)
-          | _ -> raise (Malformed "bad stage descriptor")
-        in
-        let ndone =
-          match words () with
-          | [ "done"; n ] -> int_exn n
-          | _ -> raise (Malformed "bad done line")
-        in
-        if ndone < 0 then raise (Malformed "negative done count");
-        let p_done =
-          List.init ndone (fun _ ->
-              match words () with
-              | "stage" :: rest ->
-                  let stage = stage_of rest in
-                  (stage, read_result ())
-              | _ -> raise (Malformed "bad stage line"))
-        in
-        let p_next =
-          match words () with
-          | "next" :: rest -> stage_of rest
-          | _ -> raise (Malformed "bad next line")
-        in
-        let nlines =
-          match words () with
-          | [ "exec"; n ] -> int_exn n
-          | _ -> raise (Malformed "bad exec line")
-        in
-        let p_snapshot = Durable.embedded r ~what:"exec" nlines in
-        (* The embedded engine snapshot carries its own magic and CRC —
-           validate it now so a damaged one classifies the whole store
-           entry as corrupt instead of failing at resume time. *)
-        (match Tpdbt_dbt.Exec_snapshot.of_string p_snapshot with
-        | Tpdbt_dbt.Exec_snapshot.Snapshot _ -> ()
-        | Tpdbt_dbt.Exec_snapshot.Stale_version line ->
-            raise (Malformed ("embedded snapshot is stale: " ^ line))
-        | Tpdbt_dbt.Exec_snapshot.Corrupt reason ->
-            raise (Malformed ("embedded snapshot rejected: " ^ reason)));
-        Durable.finish r;
-        Valid
-          (Suspended
-             {
-               Runner.p_bench = spec;
-               p_thresholds = labels;
-               p_done;
-               p_next;
-               p_snapshot;
-             })
-    | k -> raise (Malformed (Printf.sprintf "unknown kind %S" k))
-  with Malformed reason -> Corrupt reason
+(* Only the checks that belong to this format are left here; the line
+   grammar itself is {!L}'s. *)
+let parse_payload ?expect_thresholds spec rd =
+  let name = D.get L.bench rd in
+  if name <> spec.Spec.name then
+    raise
+      (D.Malformed
+         (Printf.sprintf "checkpoint is for benchmark %s, not %s" name
+            spec.Spec.name));
+  let kind = D.get L.kind rd in
+  let labels = D.get L.thresholds rd in
+  (match expect_thresholds with
+  | Some expected when labels <> expected ->
+      raise (D.Malformed "recorded under a different threshold list")
+  | _ -> ());
+  match kind with
+  | `Finished ->
+      D.get L.avep rd;
+      let avep = D.get L.result rd in
+      D.get L.train rd;
+      let train = D.get L.result rd in
+      let raw_runs =
+        List.map
+          (fun (label, scaled) ->
+            if D.get L.run rd <> (label, scaled) then
+              raise (D.Malformed "run header out of order");
+            (label, scaled, D.get L.result rd))
+          labels
+      in
+      (* Each result passed its own checks; whether its parts fit
+         together (a region id used twice, say) shows only when the
+         comparisons are computed. *)
+      (match Runner.assemble spec avep train raw_runs with
+      | d -> Finished d
+      | exception Invalid_argument reason ->
+          raise (D.Malformed ("results do not assemble: " ^ reason)))
+  | `Suspended ->
+      let p_done = D.get L.done_ rd in
+      let p_next = D.get L.next rd in
+      let p_snapshot = D.get L.exec rd in
+      List.iter
+        (function
+          | Runner.Threshold (label, scaled)
+            when List.assoc_opt label labels <> Some scaled ->
+              raise (D.Malformed "stage not in the threshold list")
+          | _ -> ())
+        (p_next :: List.map fst p_done);
+      (* The embedded engine snapshot carries its own magic and CRC —
+         validate it now so a damaged one classifies the whole store
+         entry as corrupt instead of failing at resume time. *)
+      (match Tpdbt_dbt.Exec_snapshot.of_string p_snapshot with
+      | Tpdbt_dbt.Exec_snapshot.Snapshot _ -> ()
+      | Tpdbt_dbt.Exec_snapshot.Stale_version line ->
+          raise (D.Malformed ("embedded snapshot is stale: " ^ line))
+      | Tpdbt_dbt.Exec_snapshot.Corrupt reason ->
+          raise (D.Malformed ("embedded snapshot rejected: " ^ reason)));
+      Suspended
+        {
+          Runner.p_bench = spec;
+          p_thresholds = labels;
+          p_done;
+          p_next;
+          p_snapshot;
+        }
 
 let data_of_string ?thresholds spec text =
   match Durable.unseal ~magic text with
-  | Durable.Payload payload ->
-      parse_payload ?expect_thresholds:thresholds spec payload
+  | Durable.Payload payload -> (
+      match
+        D.read (parse_payload ?expect_thresholds:thresholds spec) payload
+      with
+      | Ok stored -> Valid stored
+      | Error reason -> Corrupt reason)
   | Durable.Stale_version line -> Stale_version line
   | Durable.Corrupt reason -> Corrupt reason
 

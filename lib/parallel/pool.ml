@@ -119,95 +119,97 @@ let worker_loop ~jobs ~deques ~channel ~stop ~f ~tasks w =
 
 (* ---- sequential short-circuit ----------------------------------------- *)
 
+(* Each task's outcome, in task order: a raising task still gets its
+   [Finish] and the tasks after it still run, as on the pool. *)
 let map_seq ~on_event ~on_result f tasks =
   let n = Array.length tasks in
   let t0 = Unix.gettimeofday () in
-  let results =
+  let outcomes =
     Array.mapi
       (fun i x ->
         on_event (Start { worker = 0; task = i });
         let ta = Unix.gettimeofday () in
-        let v = f x in
+        let outcome = try Ok (f x) with e -> Error e in
         let seconds = Unix.gettimeofday () -. ta in
         on_event (Finish { worker = 0; task = i; seconds });
-        on_result i v;
-        v)
+        Result.iter (on_result i) outcome;
+        outcome)
       tasks
   in
   let elapsed = Unix.gettimeofday () -. t0 in
-  (results, { jobs = 1; tasks = n; steals = 0; busy = elapsed; elapsed })
+  (outcomes, { jobs = 1; tasks = n; steals = 0; busy = elapsed; elapsed })
 
 (* ---- the pool --------------------------------------------------------- *)
 
-let map ?jobs ?(on_event = fun _ -> ()) ?(on_result = fun _ _ -> ()) f tasks =
+let map_par ~jobs ~on_event ~on_result f tasks =
   let n = Array.length tasks in
-  let jobs = min (match jobs with Some j -> j | None -> default_jobs ()) n in
-  if jobs <= 1 then map_seq ~on_event ~on_result f tasks
-  else begin
-    let t0 = Unix.gettimeofday () in
-    (* Block partition: worker w owns [w*n/jobs, (w+1)*n/jobs). *)
-    let deques =
-      Array.init jobs (fun w ->
-          let lo = w * n / jobs and hi = (w + 1) * n / jobs in
-          {
-            lock = Mutex.create ();
-            slots = Array.init (hi - lo) (fun i -> lo + i);
-            lo = 0;
-            hi = hi - lo;
-          })
-    in
-    let channel =
-      { ch_lock = Mutex.create (); ch_cond = Condition.create ();
-        ch_q = Queue.create () }
-    in
-    let stop = Atomic.make false in
-    let domains =
-      Array.init jobs (fun w ->
-          Domain.spawn (fun () ->
-              worker_loop ~jobs ~deques ~channel ~stop ~f ~tasks w))
-    in
-    let results = Array.make n None in
-    let errors = ref [] in
-    let steals = ref 0 in
-    let busy = ref 0.0 in
-    let completed = ref 0 in
-    let batch = Queue.create () in
-    Fun.protect
-      ~finally:(fun () ->
-        (* Also when a callback raises: hand out no further task and
-           wait for the ones in flight, so no worker outlives the call. *)
-        Atomic.set stop true;
-        Array.iter Domain.join domains)
-      (fun () ->
-        while !completed < n do
-          receive_batch channel batch;
-          Queue.iter
-            (fun msg ->
-              match msg with
-              | Msg_steal { worker; victim; task } ->
-                  incr steals;
-                  on_event (Steal { worker; victim; task })
-              | Msg_start { worker; task } -> on_event (Start { worker; task })
-              | Msg_done { worker; task; result; seconds } -> (
-                  incr completed;
-                  busy := !busy +. seconds;
-                  on_event (Finish { worker; task; seconds });
-                  match result with
-                  | Ok v ->
-                      results.(task) <- Some v;
-                      on_result task v
-                  | Error e -> errors := (task, e) :: !errors))
-            batch;
-          Queue.clear batch
-        done);
-    (match List.sort compare !errors with
-    | (_, e) :: _ -> raise e
-    | [] -> ());
-    let results =
-      Array.map
-        (function Some v -> v | None -> assert false (* all tasks Ok *))
-        results
-    in
-    let elapsed = Unix.gettimeofday () -. t0 in
-    (results, { jobs; tasks = n; steals = !steals; busy = !busy; elapsed })
-  end
+  let t0 = Unix.gettimeofday () in
+  (* Block partition: worker w owns [w*n/jobs, (w+1)*n/jobs). *)
+  let deques =
+    Array.init jobs (fun w ->
+        let lo = w * n / jobs and hi = (w + 1) * n / jobs in
+        {
+          lock = Mutex.create ();
+          slots = Array.init (hi - lo) (fun i -> lo + i);
+          lo = 0;
+          hi = hi - lo;
+        })
+  in
+  let channel =
+    { ch_lock = Mutex.create (); ch_cond = Condition.create ();
+      ch_q = Queue.create () }
+  in
+  let stop = Atomic.make false in
+  let domains =
+    Array.init jobs (fun w ->
+        Domain.spawn (fun () ->
+            worker_loop ~jobs ~deques ~channel ~stop ~f ~tasks w))
+  in
+  (* Every slot is overwritten: the collector runs until all [n] tasks
+     have reported. *)
+  let outcomes = Array.make n (Error Exit) in
+  let steals = ref 0 in
+  let busy = ref 0.0 in
+  let completed = ref 0 in
+  let batch = Queue.create () in
+  Fun.protect
+    ~finally:(fun () ->
+      (* Also when a callback raises: hand out no further task and
+         wait for the ones in flight, so no worker outlives the call. *)
+      Atomic.set stop true;
+      Array.iter Domain.join domains)
+    (fun () ->
+      while !completed < n do
+        receive_batch channel batch;
+        Queue.iter
+          (fun msg ->
+            match msg with
+            | Msg_steal { worker; victim; task } ->
+                incr steals;
+                on_event (Steal { worker; victim; task })
+            | Msg_start { worker; task } -> on_event (Start { worker; task })
+            | Msg_done { worker; task; result; seconds } ->
+                incr completed;
+                busy := !busy +. seconds;
+                on_event (Finish { worker; task; seconds });
+                outcomes.(task) <- result;
+                Result.iter (on_result task) result)
+          batch;
+        Queue.clear batch
+      done);
+  let elapsed = Unix.gettimeofday () -. t0 in
+  (outcomes, { jobs; tasks = n; steals = !steals; busy = !busy; elapsed })
+
+let map ?jobs ?(on_event = fun _ -> ()) ?(on_result = fun _ _ -> ()) f tasks =
+  let jobs =
+    min
+      (match jobs with Some j -> j | None -> default_jobs ())
+      (Array.length tasks)
+  in
+  let outcomes, stats =
+    if jobs <= 1 then map_seq ~on_event ~on_result f tasks
+    else map_par ~jobs ~on_event ~on_result f tasks
+  in
+  (* [Array.map] goes in index order, so the lowest-indexed failure is
+     the one re-raised, whatever the completion order. *)
+  (Array.map (function Ok v -> v | Error e -> raise e) outcomes, stats)

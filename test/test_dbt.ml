@@ -136,7 +136,11 @@ let test_block_map_of_blocks () =
     (Result.is_error
        (Block_map.of_blocks ~entry_block:0 [ blk 1 0 1 ]));
   checkb "bad entry rejected" true
-    (Result.is_error (Block_map.of_blocks ~entry_block:5 [ blk 0 0 1 ]))
+    (Result.is_error (Block_map.of_blocks ~entry_block:5 [ blk 0 0 1 ]));
+  checkb "successor out of range rejected" true
+    (Result.is_error
+       (Block_map.of_blocks ~entry_block:0
+          [ { (blk 0 0 1) with Block_map.terminator = Block_map.Goto (-1) } ]))
 
 (* ------------------------------------------------------------------ *)
 (* Region structure                                                     *)

@@ -127,6 +127,26 @@ let test_write_atomic () =
            (fun f -> not (Filename.check_suffix f ".tmp"))
            (Sys.readdir sub)))
 
+(* Calls [f] on [payload] with each integer word, in turn, replaced by
+   [by]; words are separated by spaces and newlines. *)
+let each_int_word_replaced ~by payload f =
+  let lines = String.split_on_char '\n' payload in
+  List.iteri
+    (fun i line ->
+      let words = String.split_on_char ' ' line in
+      List.iteri
+        (fun j w ->
+          if int_of_string_opt w <> None then
+            let line' =
+              String.concat " "
+                (List.mapi (fun k w -> if k = j then by else w) words)
+            in
+            f
+              (String.concat "\n"
+                 (List.mapi (fun k l -> if k = i then line' else l) lines)))
+        words)
+    lines
+
 (* ------------------------------------------------------------------ *)
 (* Damage reaches each store's classification                           *)
 (* ------------------------------------------------------------------ *)

@@ -50,13 +50,16 @@ let test_pool_empty_and_singleton () =
   checki "jobs clamped to task count" 1 stats.Pool.jobs
 
 let test_pool_exception_deterministic () =
-  (* Several tasks fail; the pool must re-raise the lowest-indexed
-     failure whatever the completion order. *)
+  (* Several tasks fail; the pool must still run every task, and then
+     re-raise the lowest-indexed failure whatever the completion
+     order. *)
   let tasks = Array.init 16 (fun i -> i) in
   List.iter
     (fun jobs ->
+      let results = ref 0 in
       match
         Pool.map ~jobs
+          ~on_result:(fun _ _ -> incr results)
           (fun i -> if i mod 5 = 3 then failwith (string_of_int i) else i)
           tasks
       with
@@ -64,7 +67,11 @@ let test_pool_exception_deterministic () =
       | exception Failure msg ->
           checks
             (Printf.sprintf "lowest-indexed failure at -j %d" jobs)
-            "3" msg)
+            "3" msg;
+          checki
+            (Printf.sprintf "every task that did not raise reported at -j %d"
+               jobs)
+            13 !results)
     job_counts
 
 let test_pool_events_account () =

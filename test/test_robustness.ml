@@ -192,14 +192,26 @@ let test_data_of_string_rejects () =
   (match Checkpoint.data_of_string ~thresholds:mini_thresholds bench "" with
   | Checkpoint.Corrupt reason -> checks "empty reason" "empty file" reason
   | _ -> Alcotest.fail "empty input not corrupt");
-  match
-    Checkpoint.data_of_string ~thresholds:mini_thresholds bench (text ^ "x")
-  with
+  (match
+     Checkpoint.data_of_string ~thresholds:mini_thresholds bench (text ^ "x")
+   with
   | Checkpoint.Corrupt reason ->
       checkb "trailing reason mentions garbage" true
         (String.length reason > 0
         && String.sub reason 0 (min 8 (String.length reason)) = "trailing")
-  | _ -> Alcotest.fail "trailing input not corrupt"
+  | _ -> Alcotest.fail "trailing input not corrupt");
+  (* A CRC-valid payload with any one integer word made -1 (a negative
+     count among them) or 0 (a duplicate region id among them) is
+     classified, never raised out of the reader. *)
+  let magic = "TPDBT-CKPT 4" in
+  match Tpdbt_dbt.Durable.unseal ~magic text with
+  | Tpdbt_dbt.Durable.Payload payload ->
+      List.iter
+        (fun by ->
+          Test_durable.each_int_word_replaced ~by payload (fun damaged ->
+              ignore (classify (Tpdbt_dbt.Durable.seal ~magic damaged))))
+        [ "-1"; "0" ]
+  | _ -> Alcotest.fail "checkpoint did not unseal"
 
 let test_damaged_store_repaired_across_jobs () =
   (* Four checkpoints, two damaged: the supervised resume must classify

@@ -206,7 +206,22 @@ let test_snapshot_text_corruption_matrix () =
   checkb "older version is stale, not corrupt" true
     (match Snap.of_string stale with
     | Snap.Stale_version _ -> true
-    | Snap.Snapshot _ | Snap.Corrupt _ -> false)
+    | Snap.Snapshot _ | Snap.Corrupt _ -> false);
+  (* A CRC-valid payload with any one integer word made -1 (a negative
+     count among them) or 0 is classified, never raised out of the
+     reader. *)
+  let payload =
+    match Tpdbt_dbt.Durable.unseal ~magic:"TPDBT-SNAP 1" text with
+    | Tpdbt_dbt.Durable.Payload p -> p
+    | _ -> Alcotest.fail "snapshot did not unseal"
+  in
+  List.iter
+    (fun by ->
+      Test_durable.each_int_word_replaced ~by payload (fun damaged ->
+          ignore
+            (Snap.of_string
+               (Tpdbt_dbt.Durable.seal ~magic:"TPDBT-SNAP 1" damaged))))
+    [ "-1"; "0" ]
 
 (* ------------------------------------------------------------------ *)
 (* v4 suspended-checkpoint corruption matrix                            *)
@@ -323,6 +338,69 @@ let test_suspended_resume_byte_identity () =
         (Checkpoint.data_to_string resumed))
 
 (* ------------------------------------------------------------------ *)
+(* Format fixtures                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* [test/fixtures/snap-mini.{finished,suspended}.ckpt] hold the bytes
+   the TPDBT-CKPT 4 encoder wrote for snap-mini: the finished
+   benchmark, and the middle snapshot of its last threshold stage
+   (three stages done, an embedded TPDBT-SNAP 1 image with regions and
+   cache entries).  They change only with a magic-version bump. *)
+let fixture name = read_file (Filename.concat "fixtures" name)
+
+let test_checkpoint_fixtures () =
+  let snapshots = ref [] in
+  let finished =
+    match
+      Runner.run_benchmark_result ~thresholds:mini_thresholds
+        ~snapshot_every:1_000
+        ~on_snapshot:(fun p -> snapshots := p :: !snapshots)
+        mini
+    with
+    | Ok d -> d
+    | Error e -> Alcotest.fail ("snap-mini failed: " ^ Error.to_string e)
+  in
+  let last_stage =
+    List.filter
+      (fun p -> List.length p.Runner.p_done = 3)
+      (List.rev !snapshots)
+  in
+  let suspended = List.nth last_stage (List.length last_stage / 2) in
+  let finished_text = fixture "snap-mini.finished.ckpt" in
+  let suspended_text = fixture "snap-mini.suspended.ckpt" in
+  checks "finished: encoder reproduces the fixture" finished_text
+    (Checkpoint.data_to_string finished);
+  with_temp_dir (fun dir ->
+      Checkpoint.save_suspended ~dir suspended;
+      checks "suspended: encoder reproduces the fixture" suspended_text
+        (read_file (Checkpoint.path ~dir mini)));
+  (match classify_text finished_text with
+  | Checkpoint.Valid (Checkpoint.Finished d) ->
+      checks "finished: decodes to the fresh result"
+        (Checkpoint.data_to_string finished)
+        (Checkpoint.data_to_string d);
+      checkb "finished: same comparisons" true
+        (compare
+           (List.map (fun r -> r.Runner.comparison) d.Runner.runs)
+           (List.map (fun r -> r.Runner.comparison) finished.Runner.runs)
+        = 0)
+  | _ -> Alcotest.fail "finished fixture does not classify Valid Finished");
+  match classify_text suspended_text with
+  | Checkpoint.Valid (Checkpoint.Suspended p) ->
+      checkb "suspended: same thresholds" true
+        (p.Runner.p_thresholds = suspended.Runner.p_thresholds);
+      checkb "suspended: same done stages" true
+        (List.map fst p.Runner.p_done = List.map fst suspended.Runner.p_done);
+      List.iter2
+        (fun (_, a) (_, b) -> same_result "suspended: done stage" a b)
+        p.Runner.p_done suspended.Runner.p_done;
+      checkb "suspended: same next stage" true
+        (p.Runner.p_next = suspended.Runner.p_next);
+      checks "suspended: same engine snapshot" suspended.Runner.p_snapshot
+        p.Runner.p_snapshot
+  | _ -> Alcotest.fail "suspended fixture does not classify Valid Suspended"
+
+(* ------------------------------------------------------------------ *)
 (* Journal: snapshot refs and damaged-header recovery                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -423,6 +501,8 @@ let suite =
       test_suspended_store_corruption_matrix;
     Alcotest.test_case "suspended resume byte identity" `Quick
       test_suspended_resume_byte_identity;
+    Alcotest.test_case "checkpoint format fixtures" `Quick
+      test_checkpoint_fixtures;
     Alcotest.test_case "journal snapshot refs" `Quick
       test_journal_snapshot_refs;
     Alcotest.test_case "journal zero-length and torn header" `Quick
